@@ -1,11 +1,13 @@
 //! Simulation-throughput trajectory: sequential vs parallel vs memoized vs
 //! disk-persistent.
 //!
-//! Runs the paper's three profiling sweeps (NW lengths, Reduce6 sizes x
-//! block sizes, stencil sizes x sweep counts) five ways — single-threaded
-//! with the cache off, launch-parallel with the cache off, launch-parallel
-//! with the in-memory memo cache, and twice against a fresh on-disk cache
-//! directory (cold, then warm) — timing each and reading the process-wide
+//! Profiles the paper's three sweeps (NW lengths, Reduce6 sizes x block
+//! sizes, stencil sizes x sweep counts) through
+//! [`gpu_sim::profile_applications`] five ways — single-threaded with no
+//! cache, launch-parallel with no cache, launch-parallel with a fresh
+//! in-memory [`SimCache`], and twice against a fresh on-disk cache
+//! directory (cold, then warm; each pass opens its own [`DiskCache`], as a
+//! separate process would) — timing each and reading the process-wide
 //! cache counters. A per-phase hot-path breakdown (trace walk, coalesce,
 //! banks, issue loop) is additionally measured from bf-trace spans, off the
 //! clock. Results land in `BENCH_sim.json` so the speedups, hit rates, and
@@ -15,15 +17,17 @@
 //! runs. Parallel speedup scales with host cores; the report records the
 //! host's thread count so a 1-core CI box reporting ~1.0x is legible.
 
-use bf_kernels::reduce::ReduceVariant;
-use blackforest::collect::{
-    collect_nw, collect_reduce, collect_stencil, paper_nw_lengths, paper_reduce_sweep,
-    CollectOptions,
-};
-use gpu_sim::GpuConfig;
+use bf_kernels::nw::nw_application;
+use bf_kernels::reduce::{reduce_application, ReduceVariant};
+use bf_kernels::stencil::stencil_application;
+use bf_kernels::Application;
+use blackforest::collect::{paper_nw_lengths, paper_reduce_sweep};
+use gpu_sim::{profile_applications, DiskCache, GpuConfig, KernelTrace, ProfiledRun, SimCache};
 use serde::Serialize;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Hot-path span names whose totals form the per-phase breakdown. The
@@ -34,6 +38,7 @@ const HOT_PHASES: [&str; 5] = ["trace_walk", "coalesce", "banks", "issue_loop", 
 #[derive(Debug, Serialize)]
 struct SweepPoint {
     sweep: String,
+    /// Applications profiled per pass.
     rows: usize,
     sequential_seconds: f64,
     parallel_seconds: f64,
@@ -47,7 +52,7 @@ struct SweepPoint {
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
-    /// First run against a fresh `BF_SIM_CACHE_DIR` (simulates + persists).
+    /// First run against a fresh cache directory (simulates + persists).
     disk_cold_seconds: f64,
     /// Re-run against the now-populated directory (replays from disk).
     disk_warm_seconds: f64,
@@ -105,10 +110,45 @@ struct BenchReport {
     points: Vec<SweepPoint>,
 }
 
-fn timed(f: &dyn Fn() -> usize) -> (f64, usize) {
-    let t0 = Instant::now();
-    let rows = f();
-    (t0.elapsed().as_secs_f64(), rows)
+type Pass<'a> = &'a dyn Fn() -> Vec<ProfiledRun>;
+
+/// Times every mode `passes` times. Each pass runs the first mode, then the
+/// others forward on even passes and backward on odd ones, so every later
+/// mode follows each of the others equally often and load drift on the
+/// host favours none of them. Returns each mode's median wall-clock time
+/// and its last output.
+fn race<const N: usize>(passes: usize, modes: [Pass; N]) -> [(f64, Vec<ProfiledRun>); N] {
+    let passes = passes.max(1);
+    let mut times: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(passes));
+    let mut outs: [Vec<ProfiledRun>; N] = std::array::from_fn(|_| Vec::new());
+    for pass in 0..passes {
+        let order = (0..N).map(|k| if pass % 2 == 0 || k == 0 { k } else { N - k });
+        for m in order {
+            let t0 = Instant::now();
+            outs[m] = modes[m]();
+            times[m].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    let medians = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    std::array::from_fn(|m| (medians[m], std::mem::take(&mut outs[m])))
+}
+
+/// Exact bit pattern of every profiled time and counter value.
+fn fingerprint(runs: &[ProfiledRun]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for r in runs {
+        bits.push(r.time_ms.to_bits());
+        bits.extend(
+            r.counters
+                .names()
+                .iter()
+                .map(|n| r.counters.get(n).unwrap().to_bits()),
+        );
+    }
+    bits
 }
 
 /// A throwaway per-sweep cache directory (fresh every invocation).
@@ -121,30 +161,53 @@ fn fresh_cache_dir(sweep: &str) -> PathBuf {
 
 fn run_sweep(
     name: &str,
-    collect: &dyn Fn() -> usize,
+    gpu: &GpuConfig,
+    apps: &[Application],
     probes: &ProbeCosts,
     quick: bool,
 ) -> SweepPoint {
-    // Sequential baseline: one worker, no memoization, no disk.
-    std::env::remove_var("BF_SIM_CACHE_DIR");
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    std::env::set_var("BF_SIM_CACHE", "0");
-    let (sequential_seconds, rows) = timed(collect);
+    let batch: Vec<(&str, &[Box<dyn KernelTrace>])> = apps
+        .iter()
+        .map(|a| (a.name.as_str(), a.launches.as_slice()))
+        .collect();
+    let profile = |cache: Option<&SimCache>| {
+        profile_applications(gpu, &batch, cache).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let rows = apps.len();
+    // Quick sweeps take milliseconds: each mode reports its median over
+    // several passes so scheduler noise does not decide the overhead gate
+    // below.
+    let passes = if quick { 21 } else { 1 };
 
-    // Launch-parallel, still cold every launch.
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let (parallel_seconds, _) = timed(collect);
-
-    // Launch-parallel with the content-addressed memo cache.
-    std::env::remove_var("BF_SIM_CACHE");
-    gpu_sim::reset_global_cache_stats();
-    let (cached_seconds, _) = timed(collect);
-    let stats = gpu_sim::global_cache_stats();
+    // Sequential baseline (one worker, no memoization, no disk),
+    // launch-parallel still cold every launch, and launch-parallel with the
+    // content-addressed memo cache (a fresh one per pass; the counters
+    // report the last pass).
+    let stats = Cell::new(None);
+    let [(sequential_seconds, sequential), (parallel_seconds, _), (cached_seconds, _)] = race(
+        passes,
+        [
+            &|| {
+                std::env::set_var("RAYON_NUM_THREADS", "1");
+                let runs = profile(None);
+                std::env::remove_var("RAYON_NUM_THREADS");
+                runs
+            },
+            &|| profile(None),
+            &|| {
+                let cache = SimCache::new();
+                let runs = profile(Some(&cache));
+                stats.set(Some(cache.stats()));
+                runs
+            },
+        ],
+    );
+    let stats = stats.get().expect("the memoized mode ran");
 
     // Count (off the clock) what the sweep would record with tracing on,
     // then price the disabled probes against the sequential baseline. The
     // same capture yields the per-phase hot-path breakdown.
-    let (_, trace) = bf_trace::capture(collect);
+    let (_, trace) = bf_trace::capture(|| profile(Some(&SimCache::new())));
     let trace_spans = trace.spans.len() as u64;
     let trace_counter_incs: u64 = trace.counters.values().sum();
     let mut phase_seconds: BTreeMap<String, f64> =
@@ -172,16 +235,34 @@ fn run_sweep(
     // where cross-run reuse shows up — including NW, whose launches are
     // structurally unique *within* a run and so never hit the memory tier.
     let dir = fresh_cache_dir(name);
-    std::env::set_var("BF_SIM_CACHE_DIR", &dir);
-    gpu_sim::reset_global_cache_stats();
-    let (disk_cold_seconds, _) = timed(collect);
-    gpu_sim::reset_global_cache_stats();
-    let (disk_warm_seconds, warm_rows) = timed(collect);
-    let warm = gpu_sim::global_cache_stats();
-    let warm_disk = gpu_sim::global_disk_cache_stats();
-    std::env::remove_var("BF_SIM_CACHE_DIR");
+    let disk_pass = || {
+        let cache = SimCache::with_disk(Arc::new(DiskCache::open(&dir).expect("open the cache")));
+        gpu_sim::reset_global_cache_stats();
+        let runs = profile(Some(&cache));
+        (runs, cache.stats(), gpu_sim::global_disk_cache_stats())
+    };
+    let warm_stats = Cell::new(None);
+    let [(disk_cold_seconds, _), (disk_warm_seconds, warm_runs)] = race(
+        passes,
+        [
+            &|| {
+                drop(std::fs::remove_dir_all(&dir));
+                disk_pass().0
+            },
+            &|| {
+                let (runs, warm, warm_disk) = disk_pass();
+                warm_stats.set(Some((warm, warm_disk)));
+                runs
+            },
+        ],
+    );
+    let (warm, warm_disk) = warm_stats.get().expect("the warm mode ran");
     drop(std::fs::remove_dir_all(&dir));
-    assert_eq!(rows, warm_rows, "{name}: disk-warm run changed the dataset");
+    assert_eq!(
+        fingerprint(&sequential),
+        fingerprint(&warm_runs),
+        "{name}: disk-warm run changed the profiled values"
+    );
     assert!(
         warm.hits > 0,
         "{name}: warm disk-cache run must hit ({warm:?})"
@@ -268,9 +349,6 @@ fn main() {
     println!("host threads: {host_threads}  quick: {quick}");
 
     let gpu = GpuConfig::gtx580();
-    // Single repetition, no noise: the timings should measure simulation,
-    // not dataset expansion.
-    let opts = CollectOptions::default();
 
     let nw_lengths: Vec<usize> = if quick {
         (1..=8).map(|k| k * 64).collect()
@@ -287,6 +365,25 @@ fn main() {
     } else {
         (vec![64, 128, 256, 512], vec![1, 2, 4, 8])
     };
+    // The same applications `collect_nw`, `collect_reduce` and
+    // `collect_stencil` profile for these sweeps.
+    let nw: Vec<Application> = nw_lengths.iter().map(|&n| nw_application(n, 10)).collect();
+    let reduce: Vec<Application> = reduce_sizes
+        .iter()
+        .flat_map(|&n| {
+            reduce_threads
+                .iter()
+                .map(move |&t| reduce_application(ReduceVariant::Reduce6, n, t))
+        })
+        .collect();
+    let stencil: Vec<Application> = stencil_sizes
+        .iter()
+        .flat_map(|&n| {
+            stencil_sweeps
+                .iter()
+                .map(move |&s| stencil_application(n, s))
+        })
+        .collect();
 
     let probes = measure_probe_costs();
     println!(
@@ -295,54 +392,9 @@ fn main() {
     );
 
     let points = vec![
-        run_sweep(
-            "nw",
-            &{
-                let gpu = gpu.clone();
-                let opts = opts.clone();
-                move || {
-                    collect_nw(&gpu, &nw_lengths, &opts)
-                        .expect("collect_nw")
-                        .len()
-                }
-            },
-            &probes,
-            quick,
-        ),
-        run_sweep(
-            "reduce",
-            &{
-                let gpu = gpu.clone();
-                let opts = opts.clone();
-                move || {
-                    collect_reduce(
-                        &gpu,
-                        ReduceVariant::Reduce6,
-                        &reduce_sizes,
-                        &reduce_threads,
-                        &opts,
-                    )
-                    .expect("collect_reduce")
-                    .len()
-                }
-            },
-            &probes,
-            quick,
-        ),
-        run_sweep(
-            "stencil",
-            &{
-                let gpu = gpu.clone();
-                let opts = opts.clone();
-                move || {
-                    collect_stencil(&gpu, &stencil_sizes, &stencil_sweeps, &opts)
-                        .expect("collect_stencil")
-                        .len()
-                }
-            },
-            &probes,
-            quick,
-        ),
+        run_sweep("nw", &gpu, &nw, &probes, quick),
+        run_sweep("reduce", &gpu, &reduce, &probes, quick),
+        run_sweep("stencil", &gpu, &stencil, &probes, quick),
     ];
 
     let report = BenchReport {

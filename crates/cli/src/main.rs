@@ -103,7 +103,6 @@ OPTIONS:
     --max-bins N    histogram bin ceiling per feature, 2..=65536 (default 256)
     --threads N     worker threads: simulation workers during collection,
                     HTTP workers for serve (default: all cores)
-    --no-sim-cache  disable the launch-memoization cache (always re-simulate)
     --sim-cache-dir D   persist simulated launch results in directory D and
                     reuse them across runs (D may be `auto` for
                     ~/.cache/blackforest/simcache); shorthand for the
@@ -132,10 +131,10 @@ SERVING:
     POST /predict also accepts a JSON array and answers with an array of
     predictions in the same order (one HTTP round-trip, one forest pass).
 
-Launch simulation is deterministic: --threads, --no-sim-cache, and
---sim-cache-dir change wall-clock time only, never a collected value.
-During collection the flags are shorthands for the RAYON_NUM_THREADS,
-BF_SIM_CACHE=0, and BF_SIM_CACHE_DIR environment variables.
+Launch simulation is deterministic: --threads and --sim-cache-dir change
+wall-clock time only, never a collected value. During collection the
+flags are shorthands for the RAYON_NUM_THREADS and BF_SIM_CACHE_DIR
+environment variables.
 ";
 
 struct Args {
@@ -158,7 +157,6 @@ struct Args {
     split_strategy: Option<String>,
     max_bins: Option<usize>,
     threads: Option<usize>,
-    no_sim_cache: bool,
     sim_cache_dir: Option<String>,
     format: Option<String>,
     oracle: bool,
@@ -211,7 +209,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         split_strategy: None,
         max_bins: None,
         threads: None,
-        no_sim_cache: false,
         sim_cache_dir: None,
         format: None,
         oracle: false,
@@ -303,7 +300,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--no-sim-cache" => args.no_sim_cache = true,
             "--sim-cache-dir" => {
                 args.sim_cache_dir = Some(it.next().ok_or("--sim-cache-dir needs a value")?.clone())
             }
@@ -454,9 +450,6 @@ fn run() -> Result<ExitCode, String> {
     // (before any profiling starts) covers every subcommand.
     if let Some(n) = args.threads {
         std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    }
-    if args.no_sim_cache {
-        std::env::set_var("BF_SIM_CACHE", "0");
     }
     if let Some(dir) = &args.sim_cache_dir {
         std::env::set_var("BF_SIM_CACHE_DIR", dir);

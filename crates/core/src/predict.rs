@@ -151,21 +151,6 @@ impl ProblemScalingPredictor {
         });
         Ok(points)
     }
-
-    /// Persists the fitted predictor (forest, counter models, splits) as
-    /// JSON so it can be reloaded without re-collecting or re-training.
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self)
-            .map_err(|e| BfError::Data(format!("serialize model: {e}")))
-    }
-
-    /// Loads a predictor previously written by [`Self::save`].
-    pub fn load(path: &std::path::Path) -> Result<ProblemScalingPredictor> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file))
-            .map_err(|e| BfError::Data(format!("deserialize model: {e}")))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,38 +483,6 @@ mod tests {
         assert!(!common.iter().any(|n| n == "shared_load_replay"));
         assert!(common.iter().any(|n| n == "size"));
         assert!(common.iter().any(|n| n == "mbw"));
-    }
-
-    #[test]
-    fn predictor_round_trips_through_json() {
-        let data = mm_dataset(&GpuConfig::gtx580(), false);
-        let p = ProblemScalingPredictor::fit(
-            &data,
-            &ModelConfig::quick(36),
-            &["size"],
-            ModelStrategy::Glm,
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join("bf_predict_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        p.save(&path).unwrap();
-        let back = ProblemScalingPredictor::load(&path).unwrap();
-        for q in [48.0, 160.0, 240.0] {
-            assert_eq!(p.predict(&[q]).unwrap(), back.predict(&[q]).unwrap());
-        }
-        assert_eq!(p.model.selected, back.model.selected);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage_file() {
-        let dir = std::env::temp_dir().join("bf_predict_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "{not json").unwrap();
-        assert!(ProblemScalingPredictor::load(&path).is_err());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Determinism of the parallel + memoized collection path.
+//! Determinism of the parallel collection path.
 //!
 //! Launch-level parallel simulation accumulates per-application events in
-//! issue order, and the memo cache replays pure simulation results, so the
-//! profiled datasets must be *bit-identical* no matter how many worker
-//! threads run and whether the cache is on. This test pins that contract
-//! for all three collection drivers the paper uses.
+//! issue order, so the profiled datasets must be *bit-identical* no matter
+//! how many worker threads run. This test pins that contract for all three
+//! collection drivers the paper uses. (That memoized replay matches
+//! uncached simulation is pinned in `gpu-sim/tests/cache_equivalence.rs`.)
 //!
-//! The thread/cache knobs are process-global environment variables
-//! (`RAYON_NUM_THREADS`, `BF_SIM_CACHE`), so every scenario runs inside one
-//! `#[test]` — integration-test binaries are separate processes, but tests
-//! within a binary share an environment. Flipping the knobs mid-process is
-//! harmless to any concurrently running test precisely because of the
-//! property asserted here: the knobs change scheduling, never values.
+//! The thread knob is the process-global `RAYON_NUM_THREADS`, so every
+//! scenario runs inside one `#[test]` — integration-test binaries are
+//! separate processes, but tests within a binary share an environment.
+//! Flipping the knob mid-process is harmless to any concurrently running
+//! test precisely because of the property asserted here: it changes
+//! scheduling, never values.
 
 use bf_kernels::reduce::ReduceVariant;
 use blackforest::collect::{
@@ -30,13 +30,12 @@ fn fingerprint(ds: &Dataset) -> Vec<u64> {
     bits
 }
 
-fn set_knobs(threads: &str, cache: &str) {
+fn set_threads(threads: &str) {
     std::env::set_var("RAYON_NUM_THREADS", threads);
-    std::env::set_var("BF_SIM_CACHE", cache);
 }
 
 #[test]
-fn thread_count_and_cache_never_change_collected_values() {
+fn thread_count_never_changes_collected_values() {
     let gpu = GpuConfig::gtx580();
     // Repetitions + noise on, so the expansion path (and its RNG stream) is
     // covered too.
@@ -79,45 +78,40 @@ fn thread_count_and_cache_never_change_collected_values() {
     ];
 
     let saved_threads = std::env::var("RAYON_NUM_THREADS").ok();
-    let saved_cache = std::env::var("BF_SIM_CACHE").ok();
 
     for (name, collectfn) in &scenarios {
-        set_knobs("1", "0");
+        set_threads("1");
         let sequential = collectfn();
         let reference = fingerprint(&sequential);
 
-        for (threads, cache) in [("1", "1"), ("4", "0"), ("4", "1"), ("16", "1")] {
-            set_knobs(threads, cache);
+        for threads in ["2", "4", "16"] {
+            set_threads(threads);
             let ds = collectfn();
             assert_eq!(
                 ds.feature_names, sequential.feature_names,
-                "{name}: schema drifted at threads={threads} cache={cache}"
+                "{name}: schema drifted at threads={threads}"
             );
             assert_eq!(
                 fingerprint(&ds),
                 reference,
-                "{name}: values drifted at threads={threads} cache={cache}"
+                "{name}: values drifted at threads={threads}"
             );
         }
     }
 
     // Also pin the power response through the same machinery.
-    set_knobs("1", "0");
+    set_threads("1");
     let power_opts = CollectOptions {
         response: ResponseMetric::AvgPowerW,
         ..opts.clone()
     };
     let seq = collect_nw(&gpu, &[64], &power_opts).unwrap();
-    set_knobs("8", "1");
+    set_threads("8");
     let par = collect_nw(&gpu, &[64], &power_opts).unwrap();
     assert_eq!(fingerprint(&par), fingerprint(&seq));
 
     match saved_threads {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    match saved_cache {
-        Some(v) => std::env::set_var("BF_SIM_CACHE", v),
-        None => std::env::remove_var("BF_SIM_CACHE"),
     }
 }

@@ -35,7 +35,6 @@ fn nw_collection_reuses_the_disk_cache_across_runs() {
     let dir = std::env::temp_dir().join(format!("bf-nw-diskcache-{}", std::process::id()));
     drop(std::fs::remove_dir_all(&dir));
     std::env::set_var("BF_SIM_CACHE_DIR", &dir);
-    std::env::set_var("BF_SIM_CACHE", "1");
 
     let gpu = GpuConfig::gtx580();
     // Repetitions + noise on: the expanded observations must replay the

@@ -65,20 +65,13 @@ pub struct EngineOptions {
 }
 
 impl Default for EngineOptions {
+    /// Extrapolation on: every production path simulates this way; tests
+    /// turn it off explicitly to compare against the full simulation.
     fn default() -> Self {
         EngineOptions {
-            loop_extrapolation: loop_extrapolation_enabled(),
+            loop_extrapolation: true,
         }
     }
-}
-
-/// Whether the stock profiling paths extrapolate steady-state loops: true
-/// unless `BF_SIM_LOOP_EXTRAP` is set to `0` or `off`.
-pub fn loop_extrapolation_enabled() -> bool {
-    !matches!(
-        std::env::var("BF_SIM_LOOP_EXTRAP").as_deref(),
-        Ok("0") | Ok("off")
-    )
 }
 
 /// The cold cache state every launch simulation starts from: fresh L1 plus
@@ -100,26 +93,15 @@ pub fn simulate_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<Laun
     let occ = occupancy(gpu, &lc)?;
     let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
     let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    simulate_sampled_launch(gpu, &lc, occ, &traces)
+    simulate_sampled_launch_with(gpu, &lc, occ, &traces, &EngineOptions::default())
 }
 
-/// Simulates a launch from pre-built sampled block traces with the
-/// environment-default [`EngineOptions`]. `occ` must be the occupancy of
-/// `lc` on `gpu` and `traces` the representative blocks picked by
-/// [`sample_block_ids`] — [`simulate_launch`] wires these together; the
-/// memoization layer ([`crate::memo`]) calls this directly after hashing the
-/// traces, so a cache miss does not rebuild them.
-pub fn simulate_sampled_launch(
-    gpu: &GpuConfig,
-    lc: &LaunchConfig,
-    occ: Occupancy,
-    traces: &[BlockTrace],
-) -> Result<LaunchResult> {
-    simulate_sampled_launch_with(gpu, lc, occ, traces, &EngineOptions::default())
-}
-
-/// [`simulate_sampled_launch`] with explicit [`EngineOptions`] (tests pass
-/// options directly instead of racing on environment variables).
+/// Simulates a launch from pre-built sampled block traces. `occ` must be
+/// the occupancy of `lc` on `gpu` and `traces` the representative blocks
+/// picked by [`sample_block_ids`] — [`simulate_launch`] wires these
+/// together; the memoization layer ([`crate::memo`]) calls this directly
+/// after hashing the traces, so a cache miss does not rebuild them. Tests
+/// pass `opts` to pin full against extrapolated simulation.
 pub fn simulate_sampled_launch_with(
     gpu: &GpuConfig,
     lc: &LaunchConfig,

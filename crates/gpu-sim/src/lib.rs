@@ -41,8 +41,14 @@
 //! twice: launches simulate **in parallel** (order-preserving accumulation
 //! keeps results bit-identical to the sequential path; thread count follows
 //! `RAYON_NUM_THREADS`), and structurally identical launches are **memoized**
-//! through a content-addressed cache ([`memo`], disable with
-//! `BF_SIM_CACHE=0`).
+//! through a content-addressed cache ([`memo`]).
+//!
+//! Three entry points run the simulator: [`simulate_launch`] (one uncached
+//! launch, the reference the static analyses check against),
+//! [`simulate_sampled_launch_with`] (pre-built sampled traces with explicit
+//! [`EngineOptions`], for pinning full against extrapolated simulation) and
+//! [`profile_applications`] (the profiling driver; pass `None` for the
+//! cache to run uncached).
 
 // Index-based loops are the clearer idiom throughout this numeric code
 // (parallel arrays, in-place matrix updates), so the pedantic lint is off.
@@ -72,20 +78,15 @@ pub use builder::TraceBuilder;
 pub use counters::{CounterSet, RawEvents};
 pub use diskcache::DiskCache;
 pub use engine::{
-    loop_extrapolation_enabled, sample_block_ids, simulate_launch, simulate_sampled_launch_with,
-    EngineOptions, LaunchResult,
+    sample_block_ids, simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult,
 };
 pub use memo::{
-    cache_enabled, global_cache_stats, global_disk_cache_stats, reset_global_cache_stats,
-    simulate_launch_cached, simulate_launch_cached_fp, Bf128Hasher, CacheStats, SimCache,
-    SIM_CONTENT_VERSION,
+    global_cache_stats, global_disk_cache_stats, reset_global_cache_stats, Bf128Hasher, CacheStats,
+    SimCache, SIM_CONTENT_VERSION,
 };
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use power::{estimate_power, PowerEstimate, PowerModel};
-pub use profiler::{
-    profile_application, profile_application_with, profile_applications, profile_kernel,
-    simulate_launches, ProfiledRun,
-};
+pub use profiler::{profile_applications, ProfiledRun};
 pub use trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 
 /// Errors raised by the simulator.

@@ -37,8 +37,9 @@
 //! one application or a whole collection sweep. Process-wide hit/miss
 //! totals are additionally tracked so drivers like `bench_sim` can report a
 //! hit rate without threading cache handles through every collection API.
-//! Set `BF_SIM_CACHE=0` (or `off`) to disable memoization in the stock
-//! profiling paths; results are bit-identical either way.
+//! Replay is bit-identical to simulation by purity, so memoization is
+//! always on in the stock profiling paths; pass `None` for the cache to
+//! [`crate::profiler::profile_applications`] to simulate every launch.
 
 use crate::arch::GpuConfig;
 use crate::diskcache::{self, DiskCache};
@@ -111,15 +112,6 @@ pub fn reset_global_cache_stats() {
     GLOBAL_MISSES.store(0, Ordering::Relaxed);
     GLOBAL_DISK_HITS.store(0, Ordering::Relaxed);
     GLOBAL_DISK_MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Whether the stock profiling paths should memoize launches: true unless
-/// `BF_SIM_CACHE` is set to `0` or `off`.
-pub fn cache_enabled() -> bool {
-    !matches!(
-        std::env::var("BF_SIM_CACHE").as_deref(),
-        Ok("0") | Ok("off")
-    )
 }
 
 /// A streaming 128-bit hasher: two 64-bit lanes fed the same byte stream
@@ -377,18 +369,9 @@ fn launch_key_tagged(gpu_fp: u64, lc: &LaunchConfig, tag: u128, extrapolate: boo
 
 /// Simulates one launch through the cache: identical (traces, config, GPU)
 /// triples replay the stored result, everything else simulates and stores.
-pub fn simulate_launch_cached(
-    gpu: &GpuConfig,
-    kernel: &dyn KernelTrace,
-    cache: &SimCache,
-) -> Result<LaunchResult> {
-    simulate_launch_cached_fp(gpu, gpu.fingerprint(), kernel, cache)
-}
-
-/// [`simulate_launch_cached`] with the GPU fingerprint precomputed, so
-/// batch drivers hash the `GpuConfig` once per sweep instead of once per
-/// launch.
-pub fn simulate_launch_cached_fp(
+/// `gpu_fp` is `gpu.fingerprint()`, precomputed so batch drivers hash the
+/// `GpuConfig` once per sweep instead of once per launch.
+pub(crate) fn simulate_cached(
     gpu: &GpuConfig,
     gpu_fp: u64,
     kernel: &dyn KernelTrace,
@@ -430,6 +413,10 @@ mod tests {
     use super::*;
     use crate::engine::simulate_launch;
     use crate::trace::{WarpInstruction, FULL_MASK};
+
+    fn cached(gpu: &GpuConfig, kernel: &dyn KernelTrace, cache: &SimCache) -> Result<LaunchResult> {
+        simulate_cached(gpu, gpu.fingerprint(), kernel, cache)
+    }
 
     /// A trivially homogeneous kernel parameterised by a base address, so
     /// tests can mint identical and distinct launches at will.
@@ -480,8 +467,8 @@ mod tests {
             blocks: 64,
         };
         let fresh = simulate_launch(&gpu, &k).unwrap();
-        let miss = simulate_launch_cached(&gpu, &k, &cache).unwrap();
-        let hit = simulate_launch_cached(&gpu, &k, &cache).unwrap();
+        let miss = cached(&gpu, &k, &cache).unwrap();
+        let hit = cached(&gpu, &k, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         for r in [&miss, &hit] {
             assert_eq!(r.time_seconds.to_bits(), fresh.time_seconds.to_bits());
@@ -502,7 +489,7 @@ mod tests {
     fn different_traces_do_not_alias() {
         let gpu = GpuConfig::gtx580();
         let cache = SimCache::new();
-        let a = simulate_launch_cached(
+        let a = cached(
             &gpu,
             &Streamer {
                 base: 0x1000_0000,
@@ -511,7 +498,7 @@ mod tests {
             &cache,
         )
         .unwrap();
-        let b = simulate_launch_cached(
+        let b = cached(
             &gpu,
             &Streamer {
                 base: 0x2000_0000,
@@ -533,8 +520,8 @@ mod tests {
             base: 0x1000_0000,
             blocks: 64,
         };
-        let f = simulate_launch_cached(&GpuConfig::gtx580(), &k, &cache).unwrap();
-        let kep = simulate_launch_cached(&GpuConfig::k20m(), &k, &cache).unwrap();
+        let f = cached(&GpuConfig::gtx580(), &k, &cache).unwrap();
+        let kep = cached(&GpuConfig::k20m(), &k, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
         assert_ne!(f.time_seconds.to_bits(), kep.time_seconds.to_bits());
     }
@@ -555,15 +542,6 @@ mod tests {
         let before = g.fingerprint();
         g.mem_bandwidth_gbps += 1.0;
         assert_ne!(before, g.fingerprint());
-    }
-
-    #[test]
-    fn cache_env_gate_matches_environment() {
-        let disabled = matches!(
-            std::env::var("BF_SIM_CACHE").as_deref(),
-            Ok("0") | Ok("off")
-        );
-        assert_eq!(cache_enabled(), !disabled);
     }
 
     #[test]
@@ -657,7 +635,7 @@ mod tests {
         // Same launch through the untagged (full-trace) and tagged paths:
         // the counters must be bit-identical — the tag only changes how the
         // cache key is derived, never what is simulated.
-        let plain = simulate_launch_cached(
+        let plain = cached(
             &gpu,
             &Streamer {
                 base: 0x1000_0000,
@@ -668,12 +646,12 @@ mod tests {
         .unwrap();
         let cache = SimCache::new();
         let tagged = TaggedStreamer::new(0x1000_0000, 64);
-        let miss = simulate_launch_cached(&gpu, &tagged, &cache).unwrap();
+        let miss = cached(&gpu, &tagged, &cache).unwrap();
         let built = tagged
             .trace_calls
             .load(std::sync::atomic::Ordering::Relaxed);
         assert!(built > 0, "the miss must build traces to simulate");
-        let hit = simulate_launch_cached(&gpu, &tagged, &cache).unwrap();
+        let hit = cached(&gpu, &tagged, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(
             tagged
@@ -697,7 +675,7 @@ mod tests {
         }
         // Distinct tag inputs must not alias each other.
         let other = TaggedStreamer::new(0x2000_0000, 64);
-        simulate_launch_cached(&gpu, &other, &cache).unwrap();
+        cached(&gpu, &other, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
@@ -712,12 +690,12 @@ mod tests {
             blocks: 64,
         };
         let first = SimCache::with_disk(Arc::clone(&disk));
-        let cold = simulate_launch_cached(&gpu, &k, &first).unwrap();
+        let cold = cached(&gpu, &k, &first).unwrap();
         assert_eq!(first.stats(), CacheStats { hits: 0, misses: 1 });
         // A brand-new SimCache (fresh process stand-in) over the same disk
         // tier answers from disk without simulating.
         let second = SimCache::with_disk(Arc::clone(&disk));
-        let warm = simulate_launch_cached(&gpu, &k, &second).unwrap();
+        let warm = cached(&gpu, &k, &second).unwrap();
         assert_eq!(second.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(warm.time_seconds.to_bits(), cold.time_seconds.to_bits());
         assert_eq!(

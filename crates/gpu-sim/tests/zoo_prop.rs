@@ -16,9 +16,16 @@
 use gpu_sim::counters::counters_for;
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 use gpu_sim::{
-    profile_kernel, simulate_launch, simulate_launch_cached, GpuArchitecture, GpuConfig, SimCache,
+    profile_applications, simulate_launch, GpuArchitecture, GpuConfig, ProfiledRun, SimCache,
 };
 use proptest::prelude::*;
+
+/// Profiles `kernel` as a one-launch application through `cache`.
+fn profile_mixed(gpu: &GpuConfig, grid_blocks: usize, cache: Option<&SimCache>) -> ProfiledRun {
+    let launches: Vec<Box<dyn KernelTrace>> = vec![Box::new(MixedKernel { grid_blocks })];
+    let apps: [(&str, &[Box<dyn KernelTrace>]); 1] = [("mixed", &launches)];
+    profile_applications(gpu, &apps, cache).unwrap().remove(0)
+}
 
 /// A small kernel mixing every instruction family: strided global loads
 /// (coalescing + cache paths), conflicted shared accesses (bank logic),
@@ -208,7 +215,7 @@ proptest! {
     /// models never train on counters the hardware cannot produce.
     #[test]
     fn profiled_counters_match_the_availability_mask(gpu in arb_gpu()) {
-        let run = profile_kernel(&gpu, &MixedKernel { grid_blocks: 8 }).unwrap();
+        let run = profile_mixed(&gpu, 8, None);
         let mut got: Vec<&str> = run.counters.names();
         let mut expect = counters_for(gpu.arch);
         got.sort_unstable();
@@ -258,7 +265,6 @@ proptest! {
 /// hardware says they must.
 #[test]
 fn sim_cache_never_aliases_across_differing_configs() {
-    let kernel = MixedKernel { grid_blocks: 16 };
     let a = GpuConfig::gtx1080();
     // Same card with the L1 switched from sectored to line-tagged — the
     // kind of near-identical pair most likely to collide.
@@ -267,9 +273,9 @@ fn sim_cache_never_aliases_across_differing_configs() {
         ..a.clone()
     };
     let cache = SimCache::new();
-    let ra = simulate_launch_cached(&a, &kernel, &cache).unwrap();
+    let ra = profile_mixed(&a, 16, Some(&cache));
     assert_eq!(cache.stats().misses, 1);
-    let rb = simulate_launch_cached(&b, &kernel, &cache).unwrap();
+    let rb = profile_mixed(&b, 16, Some(&cache));
     assert_eq!(
         cache.stats().misses,
         2,
@@ -278,14 +284,15 @@ fn sim_cache_never_aliases_across_differing_configs() {
     assert_eq!(cache.stats().hits, 0);
     // And the physics genuinely differ: a line-tagged L1 refills 4 sectors
     // per miss where the sectored L1 refills 1.
+    let l2_reads = |r: &ProfiledRun| r.counters.get("l2_read_transactions").unwrap();
     assert!(
-        rb.events.l2_read_transactions > ra.events.l2_read_transactions,
+        l2_reads(&rb) > l2_reads(&ra),
         "line-tagged refill must move more L2 sectors ({} vs {})",
-        rb.events.l2_read_transactions,
-        ra.events.l2_read_transactions
+        l2_reads(&rb),
+        l2_reads(&ra)
     );
     // Replaying either config is a pure hit.
-    let ra2 = simulate_launch_cached(&a, &kernel, &cache).unwrap();
+    let ra2 = profile_mixed(&a, 16, Some(&cache));
     assert_eq!(cache.stats().hits, 1);
-    assert_eq!(ra.time_seconds.to_bits(), ra2.time_seconds.to_bits());
+    assert_eq!(ra.time_ms.to_bits(), ra2.time_ms.to_bits());
 }

@@ -572,11 +572,17 @@ mod tests {
     fn per_kernel_breakdown_reports_both_nw_kernels() {
         let gpu = GpuConfig::gtx580();
         let app = nw_application(128, 10);
-        let per_kernel =
-            gpu_sim::profiler::profile_application_by_kernel(&gpu, &app.launches).unwrap();
-        assert_eq!(per_kernel.len(), 2);
-        assert_eq!(per_kernel[0].kernel, "needle_cuda_shared_1");
-        assert_eq!(per_kernel[1].kernel, "needle_cuda_shared_2");
+        let names = app.kernel_names();
+        assert_eq!(names, ["needle_cuda_shared_1", "needle_cuda_shared_2"]);
+        // One application per kernel, each keeping its launches' issue
+        // order: how nvprof reports a multi-kernel application.
+        let (first, second): (Vec<_>, Vec<_>) = nw_application(128, 10)
+            .launches
+            .into_iter()
+            .partition(|k| k.name() == names[0]);
+        let apps: [(&str, &[Box<dyn gpu_sim::KernelTrace>]); 2] =
+            [(&names[0], &first), (&names[1], &second)];
+        let per_kernel = gpu_sim::profile_applications(&gpu, &apps, None).unwrap();
         // Kernel 1 covers one more diagonal than kernel 2.
         assert!(per_kernel[0].time_ms > per_kernel[1].time_ms);
         // The two together match the aggregate application profile.

@@ -27,7 +27,12 @@
 //! * **Backpressure** — the admission bound counts in-flight `/predict`
 //!   jobs (queued + executing). At the bound the loop answers `429` with
 //!   `Retry-After` immediately instead of queueing without limit; rejected
-//!   requests never touch a worker.
+//!   requests never touch a worker. Per connection, a peer that pipelines
+//!   requests without reading the replies is paused: while it is owed more
+//!   than [`MAX_OWED_BYTES`] of responses the loop neither reads from it
+//!   nor dispatches its buffered requests, so the peer's own send buffer
+//!   fills and blocks it instead of the server's memory growing. Dispatch
+//!   resumes as the backlog drains.
 //! * **Graceful shutdown** — on [`crate::ServerHandle::stop`] the loop
 //!   deregisters the listener, stops reading, finishes queued and
 //!   executing jobs, flushes every pending response, then joins the
@@ -37,15 +42,14 @@
 
 use crate::http::{HttpError, Request, RequestParser, Response};
 use crate::metrics::Route;
-use crate::server::process_predict_jobs;
 use crate::server::{
-    elapsed_us, next_trace_id, predict_model_key, resolve_predict_target, traced_handle,
-    PredictJob, ServeConfig, ServerState,
+    elapsed_us, next_trace_id, predict_model_key, predict_responses, resolve_predict_target,
+    traced_handle, ServeConfig, ServerState,
 };
 use crate::sys::{
     Epoll, EpollEvent, WakePipe, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use bf_registry::RegistryReader;
+use bf_registry::{RegistryReader, Resolved};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -58,6 +62,9 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKE_TOKEN: u64 = u64::MAX - 1;
 /// Hard bound on how long a graceful drain waits for stuck peers.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+/// Response bytes one connection may be owed (unflushed plus parked)
+/// before the loop stops reading and dispatching its requests.
+const MAX_OWED_BYTES: usize = 1 << 20;
 
 fn token_for(gen: u32, idx: usize) -> u64 {
     ((gen as u64) << 32) | idx as u64
@@ -82,8 +89,13 @@ struct Conn {
     flush_seq: u64,
     /// Completed responses waiting for earlier sequences to flush.
     ready: BTreeMap<u64, Done>,
+    /// Total bytes of the responses in `ready`.
+    ready_bytes: usize,
     /// Jobs dispatched to workers and not yet completed.
     inflight: usize,
+    /// The peer closed its side; requests still in the parser are
+    /// dispatched before reading stops.
+    peer_eof: bool,
     /// No further reads: client EOF, `Connection: close`, a parse error,
     /// or a draining server.
     stop_reading: bool,
@@ -105,7 +117,9 @@ impl Conn {
             next_seq: 0,
             flush_seq: 0,
             ready: BTreeMap::new(),
+            ready_bytes: 0,
             inflight: 0,
+            peer_eof: false,
             stop_reading: false,
             close_when_flushed: false,
             broken: false,
@@ -113,9 +127,16 @@ impl Conn {
         }
     }
 
+    /// Parks a finished response at its sequence slot.
+    fn park(&mut self, seq: u64, done: Done) {
+        self.ready_bytes += done.bytes.len();
+        self.ready.insert(seq, done);
+    }
+
     /// Moves in-order completed responses into the write buffer.
     fn flush_ready(&mut self) {
         while let Some(done) = self.ready.remove(&self.flush_seq) {
+            self.ready_bytes -= done.bytes.len();
             self.out.extend_from_slice(&done.bytes);
             if done.close {
                 self.close_when_flushed = true;
@@ -142,6 +163,16 @@ impl Conn {
         true
     }
 
+    /// Over its owed-bytes cap: no reads, no dispatch until it drains.
+    fn paused(&self) -> bool {
+        self.out.len() - self.out_pos + self.ready_bytes > MAX_OWED_BYTES
+    }
+
+    /// Whether the loop takes new requests from this connection now.
+    fn accepting(&self) -> bool {
+        !self.stop_reading && !self.paused()
+    }
+
     /// Anything still owed to the peer?
     fn has_backlog(&self) -> bool {
         !self.out.is_empty() || !self.ready.is_empty() || self.inflight > 0
@@ -155,7 +186,7 @@ impl Conn {
     /// progress on.
     fn sync_interest(&mut self, epoll: &Epoll, token: u64) {
         let mut want = 0u32;
-        if !self.stop_reading {
+        if self.accepting() && !self.peer_eof {
             want |= EPOLLIN | EPOLLRDHUP;
         }
         if !self.out.is_empty() {
@@ -172,15 +203,20 @@ fn respond_inline(conn: &mut Conn, seq: u64, response: Response, trace_id: Strin
     let response = response.with_header("X-BF-Trace-Id", trace_id);
     let mut bytes = Vec::with_capacity(256 + response.body.len());
     let _ = response.write_to(&mut bytes, close);
-    conn.ready.insert(seq, Done { bytes, close });
+    conn.park(seq, Done { bytes, close });
 }
 
-/// A `/predict` job with its delivery coordinates.
+/// One queued `/predict` request with its delivery coordinates. The model
+/// was resolved at dispatch time: swaps concurrent with the queue wait
+/// cannot change (or mix) what this request predicts with.
 struct QueuedJob {
     token: u64,
     seq: u64,
     close: bool,
-    job: PredictJob,
+    request: Request,
+    started: Instant,
+    trace_id: String,
+    resolved: Resolved,
 }
 
 /// A worker's finished response, headed back to the event loop.
@@ -269,7 +305,9 @@ impl JobQueue {
 }
 
 /// A prediction worker: pop a micro-batch, run one coalesced forest pass,
-/// ship rendered responses back, wake the loop.
+/// ship rendered responses back, wake the loop. Each request's route
+/// metric and `request` span are recorded here, so the loop only ships
+/// bytes.
 fn worker_loop(
     state: Arc<ServerState>,
     queue: Arc<JobQueue>,
@@ -279,21 +317,33 @@ fn worker_loop(
     max_batch: usize,
 ) {
     while let Some(batch) = queue.pop_batch(window, max_batch) {
-        let (meta, jobs): (Vec<(u64, u64, bool)>, Vec<PredictJob>) = batch
-            .into_iter()
-            .map(|qj| ((qj.token, qj.seq, qj.close), qj.job))
-            .unzip();
-        let responses = process_predict_jobs(&state, &jobs);
-        let mut out = Vec::with_capacity(jobs.len());
-        for (((token, seq, close), job), response) in meta.into_iter().zip(&jobs).zip(responses) {
-            let response = response.with_header("X-BF-Trace-Id", job.trace_id.clone());
+        let requests: Vec<(&Request, &Resolved)> =
+            batch.iter().map(|qj| (&qj.request, &qj.resolved)).collect();
+        let responses = predict_responses(&state, &requests);
+        let mut out = Vec::with_capacity(batch.len());
+        for (qj, response) in batch.iter().zip(responses) {
+            let mut span = bf_trace::span!(
+                "request",
+                method = qj.request.method.as_str(),
+                path = qj.request.path.as_str(),
+            );
+            if span.is_active() {
+                span.attr("trace_id", qj.trace_id.as_str());
+                span.attr("status", response.status);
+                span.attr("batched_with", batch.len() as u64);
+            }
+            drop(span);
+            state
+                .metrics
+                .observe(Route::Predict, response.status, elapsed_us(qj.started));
+            let response = response.with_header("X-BF-Trace-Id", qj.trace_id.clone());
             let mut bytes = Vec::with_capacity(256 + response.body.len());
-            let _ = response.write_to(&mut bytes, close);
+            let _ = response.write_to(&mut bytes, qj.close);
             out.push(Completion {
-                token,
-                seq,
+                token: qj.token,
+                seq: qj.seq,
                 bytes,
-                close,
+                close: qj.close,
             });
         }
         completions.lock().unwrap().extend(out);
@@ -306,115 +356,113 @@ struct Slot {
     conn: Option<Conn>,
 }
 
-/// Reads everything the socket has, parses complete requests, and
-/// dispatches each (inline or to the admission queue).
-fn handle_readable(
-    conn: &mut Conn,
-    token: u64,
-    state: &ServerState,
-    registry_reader: &mut RegistryReader,
-    queue: &JobQueue,
+/// Everything the loop needs to dispatch requests, besides their
+/// connection.
+struct Dispatcher<'a> {
+    state: &'a ServerState,
+    /// The loop's registry view: one atomic epoch check per resolve, a
+    /// table re-read only after a publication.
+    registry_reader: RegistryReader,
+    queue: &'a JobQueue,
     max_queue: usize,
-) {
-    let mut eof = false;
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.parser.push(&buf[..n]);
-                if n < buf.len() {
-                    break; // level-triggered epoll re-reports any rest
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.broken = true;
-                return;
-            }
-        }
-    }
-    while !conn.stop_reading {
-        match conn.parser.next_request() {
-            Ok(Some(request)) => dispatch(
-                conn,
-                token,
-                request,
-                state,
-                registry_reader,
-                queue,
-                max_queue,
-            ),
-            Ok(None) => break,
-            Err(HttpError { status, message }) => {
-                // Same accounting as the blocking engine: parse failures
-                // land on Route::Other and close the connection.
-                let started = Instant::now();
-                let trace_id = next_trace_id();
-                state
-                    .metrics
-                    .observe(Route::Other, status, elapsed_us(started));
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                respond_inline(conn, seq, Response::error(status, &message), trace_id, true);
-                conn.stop_reading = true;
-            }
-        }
-    }
-    if eof {
-        if !conn.stop_reading && conn.parser.has_partial() {
-            let started = Instant::now();
-            let trace_id = next_trace_id();
-            state
-                .metrics
-                .observe(Route::Other, 400, elapsed_us(started));
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            respond_inline(
-                conn,
-                seq,
-                Response::error(400, "connection closed mid-request"),
-                trace_id,
-                true,
-            );
-        }
-        conn.stop_reading = true;
-    }
 }
 
-/// Routes one parsed request: `/predict` (and its per-model variants) is
-/// resolved to a model *here* — so a hot swap cannot change what the
-/// request predicts with while it waits — then goes through admission
-/// control to the workers; everything else is answered inline.
-fn dispatch(
-    conn: &mut Conn,
-    token: u64,
-    request: Request,
-    state: &ServerState,
-    registry_reader: &mut RegistryReader,
-    queue: &JobQueue,
-    max_queue: usize,
-) {
-    let started = Instant::now();
-    let trace_id = next_trace_id();
-    let close = request.wants_close();
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    if close {
-        // Honor `Connection: close`: this is the last request we parse.
-        conn.stop_reading = true;
+impl Dispatcher<'_> {
+    /// Reads what the socket has, one chunk at a time, dispatching the
+    /// complete requests after each chunk; stops early once the connection
+    /// is paused.
+    fn read(&mut self, conn: &mut Conn, token: u64) {
+        let mut buf = [0u8; 16 * 1024];
+        while conn.accepting() && !conn.peer_eof {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => conn.peer_eof = true,
+                Ok(n) => {
+                    conn.parser.push(&buf[..n]);
+                    self.dispatch_buffered(conn, token);
+                    if n < buf.len() {
+                        break; // level-triggered epoll re-reports any rest
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.broken = true;
+                    return;
+                }
+            }
+        }
+        self.dispatch_buffered(conn, token);
     }
-    let predict_key = if request.method == "POST" {
-        predict_model_key(&request.path)
-    } else {
-        None
-    };
-    if let Some(key) = predict_key {
-        let resolved = match resolve_predict_target(&request.path, key, registry_reader) {
+
+    /// Dispatches the complete requests in the parser while the connection
+    /// accepts them. After peer EOF, once none is left, a trailing partial
+    /// request is answered `400` and reading stops.
+    fn dispatch_buffered(&mut self, conn: &mut Conn, token: u64) {
+        while conn.accepting() {
+            match conn.parser.next_request() {
+                Ok(Some(request)) => self.dispatch(conn, token, request),
+                Ok(None) => {
+                    if conn.peer_eof {
+                        if conn.parser.has_partial() {
+                            let message = "connection closed mid-request";
+                            self.reject(conn, 400, message);
+                        }
+                        conn.stop_reading = true;
+                    }
+                    break;
+                }
+                // Same accounting as the blocking engine: parse failures
+                // land on Route::Other and close the connection.
+                Err(HttpError { status, message }) => {
+                    self.reject(conn, status, &message);
+                    conn.stop_reading = true;
+                }
+            }
+        }
+    }
+
+    /// Answers an unparseable stream with `status` and closes after it.
+    fn reject(&self, conn: &mut Conn, status: u16, message: &str) {
+        let started = Instant::now();
+        let trace_id = next_trace_id();
+        self.state
+            .metrics
+            .observe(Route::Other, status, elapsed_us(started));
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        respond_inline(conn, seq, Response::error(status, message), trace_id, true);
+    }
+
+    /// Routes one parsed request: `/predict` (and its per-model variants)
+    /// is resolved to a model *here* — so a hot swap cannot change what the
+    /// request predicts with while it waits — then goes through admission
+    /// control to the workers; everything else is answered inline.
+    fn dispatch(&mut self, conn: &mut Conn, token: u64, request: Request) {
+        let state = self.state;
+        let started = Instant::now();
+        let trace_id = next_trace_id();
+        let close = request.wants_close();
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        if close {
+            // Honor `Connection: close`: this is the last request we parse.
+            conn.stop_reading = true;
+        }
+        let predict_key = if request.method == "POST" {
+            predict_model_key(&request.path)
+        } else {
+            None
+        };
+        let Some(key) = predict_key else {
+            let (route, response) =
+                traced_handle(&request, state, &mut self.registry_reader, &trace_id);
+            state
+                .metrics
+                .observe(route, response.status, elapsed_us(started));
+            respond_inline(conn, seq, response, trace_id, close);
+            return;
+        };
+        let resolved = match resolve_predict_target(&request.path, key, &mut self.registry_reader) {
             Ok(r) => r,
             Err(response) => {
                 state
@@ -424,7 +472,7 @@ fn dispatch(
                 return;
             }
         };
-        if state.metrics.queue_depth() >= max_queue as u64 {
+        if state.metrics.queue_depth() >= self.max_queue as u64 {
             state.metrics.queue_reject();
             bf_trace::counter!("serve.queue.rejections");
             let response = Response::error(429, "prediction queue is full; retry shortly")
@@ -436,24 +484,16 @@ fn dispatch(
         } else {
             state.metrics.queue_enter();
             conn.inflight += 1;
-            queue.push(QueuedJob {
+            self.queue.push(QueuedJob {
                 token,
                 seq,
                 close,
-                job: PredictJob {
-                    request,
-                    started,
-                    trace_id,
-                    resolved,
-                },
+                request,
+                started,
+                trace_id,
+                resolved,
             });
         }
-    } else {
-        let (route, response) = traced_handle(&request, state, registry_reader, &trace_id);
-        state
-            .metrics
-            .observe(route, response.status, elapsed_us(started));
-        respond_inline(conn, seq, response, trace_id, close);
     }
 }
 
@@ -466,14 +506,28 @@ fn close_conn(slots: &mut [Slot], free: &mut Vec<usize>, epoll: &Epoll, idx: usi
 }
 
 /// Flush + write + (close | re-arm) one connection after any activity.
-fn service_conn(slots: &mut [Slot], free: &mut Vec<usize>, epoll: &Epoll, idx: usize) {
+/// A paused connection whose backlog drained dispatches the requests
+/// already in its parser here: no `EPOLLIN` will announce bytes that left
+/// the socket while it was paused.
+fn service_conn(
+    slots: &mut [Slot],
+    free: &mut Vec<usize>,
+    epoll: &Epoll,
+    idx: usize,
+    dispatcher: &mut Dispatcher,
+) {
     let gen = slots[idx].gen;
     let token = token_for(gen, idx);
     let Some(conn) = slots[idx].conn.as_mut() else {
         return;
     };
     conn.flush_ready();
-    let alive = conn.try_write();
+    let mut alive = conn.try_write();
+    if alive && conn.accepting() && (conn.peer_eof || conn.parser.has_partial()) {
+        dispatcher.dispatch_buffered(conn, token);
+        conn.flush_ready();
+        alive = conn.try_write();
+    }
     if !alive || conn.should_close() {
         close_conn(slots, free, epoll, idx);
         return;
@@ -498,7 +552,6 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>, config: &Serve
 
     let queue = Arc::new(JobQueue::default());
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-    let max_queue = config.max_queue.max(1);
     let workers: Vec<_> = (0..config.threads.max(1))
         .map(|i| {
             let state = Arc::clone(&state);
@@ -516,9 +569,12 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>, config: &Serve
 
     let mut slots: Vec<Slot> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    // The loop's registry view: one atomic epoch check per resolve, a
-    // table re-read only after a publication.
-    let mut registry_reader = state.registry.reader();
+    let mut dispatcher = Dispatcher {
+        state: &state,
+        registry_reader: state.registry.reader(),
+        queue: &queue,
+        max_queue: config.max_queue.max(1),
+    };
     let mut events = vec![
         EpollEvent {
             events: 0,
@@ -540,7 +596,7 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>, config: &Serve
                 if let Some(conn) = slots[idx].conn.as_mut() {
                     conn.stop_reading = true;
                 }
-                service_conn(&mut slots, &mut free, &epoll, idx);
+                service_conn(&mut slots, &mut free, &epoll, idx, &mut dispatcher);
             }
         }
         if draining {
@@ -603,11 +659,9 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>, config: &Serve
             }
             if ev_mask & (EPOLLIN | EPOLLRDHUP) != 0 {
                 let conn = slots[idx].conn.as_mut().expect("live conn");
-                if !conn.stop_reading {
-                    handle_readable(conn, token, &state, &mut registry_reader, &queue, max_queue);
-                }
+                dispatcher.read(conn, token);
             }
-            service_conn(&mut slots, &mut free, &epoll, idx);
+            service_conn(&mut slots, &mut free, &epoll, idx, &mut dispatcher);
         }
 
         if woken {
@@ -627,14 +681,14 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>, config: &Serve
                 continue;
             };
             conn.inflight -= 1;
-            conn.ready.insert(
+            conn.park(
                 completion.seq,
                 Done {
                     bytes: completion.bytes,
                     close: completion.close,
                 },
             );
-            service_conn(&mut slots, &mut free, &epoll, idx);
+            service_conn(&mut slots, &mut free, &epoll, idx, &mut dispatcher);
         }
     }
 

@@ -606,7 +606,8 @@ pub(crate) fn handle_request(
             Ok(r) => r,
             Err(response) => return (Route::Predict, response),
         };
-        return (Route::Predict, handle_predict(request, state, &resolved));
+        let response = predict_responses(state, &[(request, &resolved)]).remove(0);
+        return (Route::Predict, response);
     }
     match (method, path) {
         ("GET", "/bottleneck") => (Route::Bottleneck, handle_bottleneck(request, state)),
@@ -655,70 +656,6 @@ pub(crate) struct PredictItems {
     batch: bool,
 }
 
-/// One queued `/predict` request, as handed to a prediction worker. The
-/// model was resolved at dispatch time: swaps concurrent with the queue
-/// wait cannot change (or mix) what this request predicts with.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-pub(crate) struct PredictJob {
-    pub(crate) request: Request,
-    pub(crate) started: Instant,
-    pub(crate) trace_id: String,
-    pub(crate) resolved: Resolved,
-}
-
-/// Handles a `/predict` request sequentially (threads mode and unit tests):
-/// the single-job case of the worker path below, with identical phase
-/// accounting.
-fn handle_predict(request: &Request, state: &ServerState, resolved: &Resolved) -> Response {
-    // Parse phase: body decode, JSON parse, query validation.
-    let parse_started = Instant::now();
-    let parsed = {
-        let _span = bf_trace::span!("parse", body_bytes = request.body.len());
-        parse_predict_items(request, &resolved.model)
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Parse, elapsed_us(parse_started));
-    let items = match parsed {
-        Ok(items) => items,
-        Err(response) => return response,
-    };
-
-    // Predict phase: cache lookups, one forest pass over the misses.
-    let predict_started = Instant::now();
-    let answered = {
-        let mut span = bf_trace::span!("predict");
-        let answered = predict_rows(state, &resolved.model, &items.rows);
-        if span.is_active() {
-            if let Ok(results) = &answered {
-                span.attr("rows", results.len() as u64);
-                span.attr("cached", results.iter().all(|(_, c)| *c));
-            }
-        }
-        answered
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Predict, elapsed_us(predict_started));
-    let results = match answered {
-        Ok(results) => results,
-        Err(msg) => return Response::error(500, &format!("prediction failed: {msg}")),
-    };
-    resolved.model.record_served(items.rows.len() as u64);
-    submit_shadow(state, resolved, &items.rows, &results);
-
-    // Serialize phase: building and encoding the answer.
-    let serialize_started = Instant::now();
-    let response = {
-        let _span = bf_trace::span!("serialize");
-        render_predictions(&resolved.model, &items, results)
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Serialize, elapsed_us(serialize_started));
-    response
-}
-
 /// Replays an answered request against the resolved shadow model, off the
 /// hot path (bounded queue, drop-on-full — never blocks the caller).
 fn submit_shadow(
@@ -743,22 +680,24 @@ fn submit_shadow(
 /// per row, or the render-time error message.
 type JobPredictions = Result<Vec<(Prediction, bool)>, String>;
 
-/// Processes one micro-batch of `/predict` jobs pulled off the admission
-/// queue: every job is parsed, then the rows of jobs sharing a resolved
-/// model are coalesced into one forest pass per model, then per-job
-/// responses are rendered. Per-request metric and phase counts are
-/// identical to [`handle_predict`]; route metrics (`observe`) are recorded
-/// here too, so the event loop only ships bytes. Returns one response per
-/// job, in order.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> Vec<Response> {
-    // Parse every job first so the rows can be coalesced.
-    let mut parsed: Vec<Result<PredictItems, Response>> = Vec::with_capacity(jobs.len());
-    for job in jobs {
+/// The `/predict` pipeline of both engines: every request is parsed, then
+/// the rows of requests sharing a resolved model are coalesced into one
+/// forest pass per model, then per-request responses are rendered, with
+/// parse / predict / serialize phase metrics per request. The threads
+/// engine runs it on one request at a time, the event loop's workers on
+/// each micro-batch; route metrics (`observe`) and the `request` span stay
+/// with the caller. Returns one response per request, in order.
+pub(crate) fn predict_responses(
+    state: &ServerState,
+    requests: &[(&Request, &Resolved)],
+) -> Vec<Response> {
+    // Parse every request first so the rows can be coalesced.
+    let mut parsed: Vec<Result<PredictItems, Response>> = Vec::with_capacity(requests.len());
+    for (request, resolved) in requests {
         let parse_started = Instant::now();
         let r = {
-            let _span = bf_trace::span!("parse", body_bytes = job.request.body.len());
-            parse_predict_items(&job.request, &job.resolved.model)
+            let _span = bf_trace::span!("parse", body_bytes = request.body.len());
+            parse_predict_items(request, &resolved.model)
         };
         state
             .metrics
@@ -766,24 +705,24 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
         parsed.push(r);
     }
 
-    // Group parse-clean jobs by resolved model: one forest pass per model
-    // over the union of its jobs' rows. (A batch spanning a hot swap
-    // simply forms two groups — jobs never mix models.)
+    // Group parse-clean requests by resolved model: one forest pass per
+    // model over the union of their rows. (A batch spanning a hot swap
+    // simply forms two groups — requests never mix models.)
     let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
     for (j, p) in parsed.iter().enumerate() {
         if p.is_err() {
             continue;
         }
-        let id = jobs[j].resolved.model.content_id;
+        let id = requests[j].1.model.content_id;
         match groups.iter_mut().find(|(gid, _)| *gid == id) {
             Some((_, members)) => members.push(j),
             None => groups.push((id, vec![j])),
         }
     }
     let predict_started = Instant::now();
-    let mut job_results: Vec<Option<JobPredictions>> = (0..jobs.len()).map(|_| None).collect();
+    let mut job_results: Vec<Option<JobPredictions>> = (0..requests.len()).map(|_| None).collect();
     for (_, members) in &groups {
-        let model = &jobs[members[0]].resolved.model;
+        let model = &requests[members[0]].1.model;
         let union: Vec<Vec<f64>> = members
             .iter()
             .flat_map(|&j| {
@@ -800,6 +739,9 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
             span.attr("rows", union.len() as u64);
             span.attr("jobs", members.len() as u64);
             span.attr("model", model.id_hex().as_str());
+            if let Ok(results) = &outcome {
+                span.attr("cached", results.iter().all(|(_, c)| *c));
+            }
         }
         drop(span);
         match outcome {
@@ -820,22 +762,22 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
     }
     let predict_us = elapsed_us(predict_started);
 
-    // Render per job.
-    let mut responses = Vec::with_capacity(jobs.len());
-    for ((job, p), outcome) in jobs.iter().zip(parsed).zip(job_results) {
+    // Render per request.
+    let mut responses = Vec::with_capacity(requests.len());
+    for ((&(_, resolved), p), outcome) in requests.iter().zip(parsed).zip(job_results) {
         let response = match p {
             Err(response) => response,
             Ok(items) => {
                 state.metrics.observe_phase(Phase::Predict, predict_us);
-                match outcome.expect("parsed job was grouped") {
+                match outcome.expect("parsed request was grouped") {
                     Err(msg) => Response::error(500, &format!("prediction failed: {msg}")),
                     Ok(results) => {
-                        job.resolved.model.record_served(items.rows.len() as u64);
-                        submit_shadow(state, &job.resolved, &items.rows, &results);
+                        resolved.model.record_served(items.rows.len() as u64);
+                        submit_shadow(state, resolved, &items.rows, &results);
                         let serialize_started = Instant::now();
                         let response = {
                             let _span = bf_trace::span!("serialize");
-                            render_predictions(&job.resolved.model, &items, results)
+                            render_predictions(&resolved.model, &items, results)
                         };
                         state
                             .metrics
@@ -845,20 +787,6 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
                 }
             }
         };
-        let mut span = bf_trace::span!(
-            "request",
-            method = job.request.method.as_str(),
-            path = job.request.path.as_str(),
-        );
-        if span.is_active() {
-            span.attr("trace_id", job.trace_id.as_str());
-            span.attr("status", response.status);
-            span.attr("batched_with", jobs.len() as u64);
-        }
-        drop(span);
-        state
-            .metrics
-            .observe(Route::Predict, response.status, elapsed_us(job.started));
         responses.push(response);
     }
     responses

@@ -1,10 +1,12 @@
-//! Property tests hardening the HTTP request parser.
+//! Hardening of the HTTP front end against hostile or careless clients.
 //!
 //! The event loop feeds [`RequestParser`] whatever byte chunks the kernel
 //! hands it — attacker-controlled content, split at arbitrary boundaries.
-//! These properties pin the safety contract: no panics on any input, only
-//! the documented status codes on rejection, size bounds enforced *before*
-//! body allocation, and chunking-invariant parses of valid requests.
+//! The properties pin the parser's safety contract: no panics on any
+//! input, only the documented status codes on rejection, size bounds
+//! enforced *before* body allocation, and chunking-invariant parses of
+//! valid requests. An end-to-end test pins the event loop's per-connection
+//! backpressure against a client that pipelines without reading.
 
 use bf_serve::http::{Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use proptest::prelude::*;
@@ -146,4 +148,119 @@ proptest! {
         bytes.extend_from_slice(b"\r\n\r\n");
         prop_assert!(matches!(drive(&bytes, chunk), Err(400)));
     }
+}
+
+/// A client that pipelines requests and never reads the replies is
+/// throttled by its own send buffer: the server stops reading from a
+/// connection it owes too many response bytes instead of buffering
+/// responses without bound. Once the client reads, every response
+/// arrives, in request order.
+#[cfg(target_os = "linux")]
+#[test]
+fn unread_pipelined_replies_block_the_client_not_the_server() {
+    use bf_serve::{ModelBundle, PredictServer, ServeConfig};
+    use blackforest::{BlackForest, ModelConfig, Workload};
+    use gpu_sim::GpuConfig;
+    use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    /// Far beyond the socket buffers plus the server's per-connection cap;
+    /// a server that keeps reading accepts this much without stalling.
+    const WRITE_LIMIT: usize = 48 << 20;
+    /// Write progress paused this long means the client is blocked.
+    const STALL: Duration = Duration::from_millis(500);
+
+    let gpu = GpuConfig::gtx580();
+    let sizes: Vec<usize> = (12..=15).map(|e| 1usize << e).collect();
+    let report = BlackForest::new(gpu.clone())
+        .with_config(ModelConfig::quick(7))
+        .analyze(
+            Workload::Reduce(bf_kernels::reduce::ReduceVariant::Reduce1),
+            &sizes,
+        )
+        .expect("train quick reduce sweep");
+    let bundle = ModelBundle::from_report(&report, &gpu, &sizes, false);
+    let server = PredictServer::bind("127.0.0.1:0", bundle, ServeConfig::default()).expect("bind");
+    let (handle, join) = server.spawn();
+
+    // Fixed-width paths: request `i` ends at byte `(i + 1) * len`, and its
+    // 404 body names the path, so response order is checkable.
+    let request = |i: usize| format!("GET /order/{i:010} HTTP/1.1\r\nHost: t\r\n\r\n");
+    let len = request(0).len();
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nonblocking(true).unwrap();
+    let mut batch = Vec::new();
+    let mut batch_pos = 0;
+    let mut written = 0usize;
+    let mut stalled_since: Option<Instant> = None;
+    loop {
+        if batch_pos == batch.len() {
+            let first = written / len;
+            batch = (first..first + 256)
+                .flat_map(|i| request(i).into_bytes())
+                .collect();
+            batch_pos = 0;
+        }
+        match (&stream).write(&batch[batch_pos..]) {
+            Ok(n) => {
+                batch_pos += n;
+                written += n;
+                stalled_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if stalled_since.get_or_insert_with(Instant::now).elapsed() > STALL {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("write failed after {written} bytes: {e}"),
+        }
+        assert!(
+            written < WRITE_LIMIT,
+            "the server kept reading {written} bytes of pipelined requests whose \
+             replies were never read"
+        );
+    }
+
+    // Finish the request cut by the blocked write while a reader drains
+    // the replies (the server resumes once its backlog flushes).
+    let expected = written.div_ceil(len);
+    stream.set_nonblocking(false).unwrap();
+    let reader = {
+        let stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let mut reader = BufReader::new(stream);
+            for i in 0..expected {
+                let mut status = String::new();
+                reader.read_line(&mut status).expect("status line");
+                assert!(status.starts_with("HTTP/1.1 404"), "reply {i}: {status:?}");
+                let mut body_len = 0usize;
+                loop {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("header line");
+                    if line == "\r\n" {
+                        break;
+                    }
+                    if let Some(v) = line.strip_prefix("Content-Length: ") {
+                        body_len = v.trim().parse().unwrap();
+                    }
+                }
+                let mut body = vec![0u8; body_len];
+                reader.read_exact(&mut body).expect("body");
+                let body = String::from_utf8(body).unwrap();
+                let path = format!("/order/{i:010}");
+                assert!(body.contains(&path), "reply {i} out of order: {body}");
+            }
+        })
+    };
+    let rest = (len - written % len) % len;
+    let tail = request(written / len).into_bytes();
+    (&stream)
+        .write_all(&tail[len - rest..])
+        .expect("finish the cut request");
+    reader.join().expect("every reply arrives in order");
+
+    handle.stop();
+    join.join().unwrap();
 }

@@ -20,7 +20,7 @@ use blackforest_suite::blackforest::collect::{
 use blackforest_suite::blackforest::model::{BlackForestModel, ModelConfig};
 use blackforest_suite::blackforest::{bottleneck, report};
 use blackforest_suite::gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig};
-use blackforest_suite::gpu_sim::{profile_kernel, GpuConfig, TraceBuilder};
+use blackforest_suite::gpu_sim::{profile_applications, GpuConfig, ProfiledRun, TraceBuilder};
 
 /// A gather kernel: `out[i] = sum_k table[idx[i*K + k]]` with a
 /// pseudo-random index table — the classic memory-access-pattern bottleneck.
@@ -86,19 +86,28 @@ impl KernelTrace for GatherKernel {
     }
 }
 
+/// Profiles one launch as a single-kernel application (no memo cache).
+fn profile_kernel(gpu: &GpuConfig, kernel: GatherKernel) -> ProfiledRun {
+    let name = kernel.name();
+    let launches: Vec<Box<dyn KernelTrace>> = vec![Box::new(kernel)];
+    let apps: [(&str, &[Box<dyn KernelTrace>]); 1] = [(&name, &launches)];
+    profile_applications(gpu, &apps, None)
+        .expect("profile")
+        .remove(0)
+}
+
 fn main() {
     let gpu = GpuConfig::gtx580();
 
     // One-off profile, like nvprof.
     let run = profile_kernel(
         &gpu,
-        &GatherKernel {
+        GatherKernel {
             n: 1 << 20,
             k: 4,
             spread: 1 << 22,
         },
-    )
-    .expect("profile");
+    );
     println!("one run of {}: {:.3} ms", run.kernel, run.time_ms);
     for c in [
         "gld_request",
@@ -124,7 +133,7 @@ fn main() {
                 k: 4,
                 spread: 1 << spread_shift,
             };
-            let run = profile_kernel(&gpu, &k).expect("profile");
+            let run = profile_kernel(&gpu, k);
             observations.push(Observation {
                 run,
                 characteristics: vec![

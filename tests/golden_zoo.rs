@@ -17,7 +17,7 @@
 //! BF_UPDATE_GOLDEN=1 cargo test --test golden_zoo
 //! ```
 
-use blackforest_suite::gpu_sim::{profile_kernel, GpuConfig};
+use blackforest_suite::gpu_sim::{profile_applications, GpuConfig};
 use blackforest_suite::kernels::reduce::{reduce_application, ReduceVariant};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -45,8 +45,10 @@ fn metrics_section(gpu: &GpuConfig) -> String {
 /// one GPU — every counter the architecture exposes, in schema order.
 fn reduce1_section(gpu: &GpuConfig) -> String {
     let app = reduce_application(ReduceVariant::Reduce1, 1 << 14, 256);
-    let run = profile_kernel(gpu, app.launches[0].as_ref())
-        .unwrap_or_else(|e| panic!("profile reduce1 on {}: {e}", gpu.name));
+    let first_pass = (app.name.as_str(), &app.launches[..1]);
+    let run = profile_applications(gpu, &[first_pass], None)
+        .unwrap_or_else(|e| panic!("profile reduce1 on {}: {e}", gpu.name))
+        .remove(0);
     let mut out = String::new();
     writeln!(
         out,
