@@ -62,8 +62,7 @@ fn bench_importance(c: &mut Criterion) {
 }
 
 /// Exact vs histogram split search across training-set sizes — the headline
-/// comparison of the binned pipeline (see `crates/bench/src/bin/bench_forest.rs`
-/// for the JSON artifact variant).
+/// comparison of the binned pipeline.
 fn bench_split_strategies(c: &mut Criterion) {
     let mut g = c.benchmark_group("forest_fit_strategy");
     g.sample_size(10);

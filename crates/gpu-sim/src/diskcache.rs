@@ -1,7 +1,7 @@
 //! Persistent, cross-process launch-result cache.
 //!
 //! The in-memory [`crate::memo::SimCache`] dies with its process, so every
-//! `train` run, `bench_sim` invocation, and bf-serve instance re-simulates
+//! `train` run, `hwscale` sweep, and bf-serve instance re-simulates
 //! launches the previous run already paid for. This module adds the disk
 //! tier: a content-addressed, append-only log keyed by the same 128-bit
 //! launch digest, shared by every process pointed at the same directory.
@@ -408,6 +408,7 @@ mod tests {
     use super::*;
     use crate::arch::GpuConfig;
     use crate::engine::simulate_launch;
+    use crate::memo::{simulate_cached, SimCache};
     use crate::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction, FULL_MASK};
 
     struct Tiny(u64);
@@ -559,6 +560,86 @@ mod tests {
         // Newest keys survive, oldest evicted.
         assert!(c.get(n - 1).is_some());
         assert!(c.get(0).is_none());
+        drop(std::fs::remove_dir_all(&dir));
+    }
+
+    /// Names the cache directory when this test binary runs as the second
+    /// writer of [`two_processes_appending_at_once_leave_a_verifiable_log`].
+    const WRITER_DIR_ENV: &str = "BF_DISKCACHE_TEST_WRITER_DIR";
+    /// Launches each writer simulates; the two ranges overlap by half.
+    const WRITER_LAUNCHES: u64 = 200;
+
+    /// Simulates `Tiny` launches `first..first + WRITER_LAUNCHES` through a
+    /// cache over `disk`, appending one record per launch.
+    fn write_launches(disk: DiskCache, first: u64) {
+        let gpu = GpuConfig::gtx580();
+        let cache = SimCache::with_disk(Arc::new(disk));
+        for seed in first..first + WRITER_LAUNCHES {
+            simulate_cached(&gpu, gpu.fingerprint(), &Tiny(seed << 16), &cache).unwrap();
+        }
+        assert_eq!(cache.stats().hits, 0, "a writer saw the other's records");
+    }
+
+    #[test]
+    fn two_processes_appending_at_once_leave_a_verifiable_log() {
+        if let Some(dir) = std::env::var_os(WRITER_DIR_ENV) {
+            // Second writer: load the log, signal readiness, then append the
+            // upper range.
+            let dir = PathBuf::from(dir);
+            let disk = DiskCache::open(&dir).unwrap();
+            std::fs::write(dir.join("ready"), b"").unwrap();
+            write_launches(disk, WRITER_LAUNCHES / 2);
+            return;
+        }
+        // Both writers load the log before either appends, so each simulates
+        // and appends all of its launches, the shared half included. Opening
+        // here first also writes the file header exactly once.
+        let dir = tmpdir("two-writers");
+        let disk = DiskCache::open(&dir).unwrap();
+        let mut second = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "diskcache::tests::two_processes_appending_at_once_leave_a_verifiable_log",
+                "--test-threads=1",
+                "--quiet",
+            ])
+            .env(WRITER_DIR_ENV, &dir)
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let ready = dir.join("ready");
+        let t0 = std::time::Instant::now();
+        while !ready.exists() {
+            if let Some(status) = second.try_wait().unwrap() {
+                panic!("second writer exited before writing: {status}");
+            }
+            assert!(t0.elapsed().as_secs() < 60, "second writer never started");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        write_launches(disk, 0);
+        assert!(second.wait().unwrap().success(), "second writer failed");
+
+        // No append was lost or torn: the log holds every record of both
+        // writers (the overlap twice), and a fresh open verifies them all
+        // and indexes exactly the union.
+        let record = (RECORD_HEADER_LEN + PAYLOAD_LEN) as u64;
+        let log_bytes = std::fs::metadata(dir.join(format!("simcache-v{SCHEMA_VERSION}.bin")))
+            .unwrap()
+            .len();
+        assert_eq!(log_bytes, HEADER_LEN as u64 + 2 * WRITER_LAUNCHES * record);
+        let reopened = Arc::new(DiskCache::open(&dir).unwrap());
+        assert_eq!(reopened.skipped_bytes(), 0, "a record failed to verify");
+        let total = WRITER_LAUNCHES * 3 / 2;
+        assert_eq!(reopened.len() as u64, total);
+        // Every cached result is the uncached simulation, bit for bit.
+        let gpu = GpuConfig::gtx580();
+        let cache = SimCache::with_disk(reopened);
+        for seed in 0..total {
+            let kernel = Tiny(seed << 16);
+            let cached = simulate_cached(&gpu, gpu.fingerprint(), &kernel, &cache).unwrap();
+            assert_bit_identical(&cached, &simulate_launch(&gpu, &kernel).unwrap());
+        }
+        assert_eq!(cache.stats().misses, 0, "every launch came from the log");
         drop(std::fs::remove_dir_all(&dir));
     }
 

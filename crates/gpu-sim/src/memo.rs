@@ -35,8 +35,9 @@
 //!
 //! A `SimCache` is `Sync` and intended to be shared across the launches of
 //! one application or a whole collection sweep. Process-wide hit/miss
-//! totals are additionally tracked so drivers like `bench_sim` can report a
-//! hit rate without threading cache handles through every collection API.
+//! totals are additionally tracked so callers like `perfbench` and serve's
+//! `/metrics` can report a hit rate without threading cache handles through
+//! every collection API.
 //! Replay is bit-identical to simulation by purity, so memoization is
 //! always on in the stock profiling paths; pass `None` for the cache to
 //! [`crate::profiler::profile_applications`] to simulate every launch.

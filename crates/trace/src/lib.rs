@@ -15,7 +15,8 @@
 //! 2. **Disabled means free.** Tracing is off by default; a [`Span::enter`]
 //!    with the recorder disabled is one relaxed atomic load and no clock
 //!    read, no allocation, no lock. The simulator's per-launch spans must
-//!    not show up in `bench_sim` (CI asserts < 1% overhead).
+//!    not show up in a profiling sweep (`crates/bench/tests/overhead_budget.rs`
+//!    asserts < 1% overhead).
 //! 3. **Thread-pool-correct parenting.** Work fanned out across the rayon
 //!    pool parents back to the span that issued it via
 //!    [`with_parent`], not to whatever happened to run last on the worker.
