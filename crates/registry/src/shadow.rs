@@ -5,7 +5,7 @@
 //! The engine is a bounded channel plus one dedicated thread. Submission
 //! is `try_send`: when the queue is full the job is *dropped and counted*
 //! rather than blocking — shadow mode must never backpressure the primary
-//! path (the bench pins this: shadow adds no measurable p99). Divergence
+//! path (bf-serve's `shadow_replay_stays_off_the_hot_path` test pins this). Divergence
 //! is tracked as the relative delta `|shadow − primary| / max(|primary|,
 //! 1e-12)` per row, aggregated overall and per workload.
 

@@ -38,8 +38,6 @@
 //!   executing jobs, flushes every pending response, then joins the
 //!   workers. A hard deadline bounds the drain against stuck peers.
 
-#![cfg(target_os = "linux")]
-
 use crate::http::{HttpError, Request, RequestParser, Response};
 use crate::metrics::Route;
 use crate::server::{

@@ -4,7 +4,7 @@
 //! and body sizes; anything exotic (chunked uploads, continuations) is
 //! rejected rather than guessed at.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted size of the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -67,36 +67,6 @@ impl Request {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
         })
-    }
-
-    /// Reads one request off a buffered stream. Returns `Ok(None)` on a
-    /// clean EOF before any bytes (client closed a kept-alive connection).
-    ///
-    /// Convenience wrapper over [`RequestParser`] for callers that own the
-    /// whole stream for one request. Connections that serve *multiple*
-    /// requests must keep one `RequestParser` alive instead: this wrapper
-    /// may buffer pipelined bytes beyond the first request, and those bytes
-    /// die with the local parser.
-    pub fn read_from<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
-        let mut parser = RequestParser::new();
-        loop {
-            if let Some(req) = parser.next_request()? {
-                return Ok(Some(req));
-            }
-            let available = reader
-                .fill_buf()
-                .map_err(|e| HttpError::new(400, format!("read error: {e}")))?;
-            if available.is_empty() {
-                return if parser.has_partial() {
-                    Err(HttpError::new(400, "connection closed mid-request"))
-                } else {
-                    Ok(None)
-                };
-            }
-            let n = available.len();
-            parser.push(available);
-            reader.consume(n);
-        }
     }
 }
 
@@ -396,10 +366,12 @@ struct ErrorBody {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses the first request out of `raw`, pushed in one piece.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        Request::read_from(&mut BufReader::new(raw.as_bytes()))
+        let mut parser = RequestParser::new();
+        parser.push(raw.as_bytes());
+        parser.next_request()
     }
 
     #[test]
@@ -419,7 +391,10 @@ mod tests {
 
     #[test]
     fn eof_before_any_bytes_is_none() {
-        assert!(parse("").unwrap().is_none());
+        let mut parser = RequestParser::new();
+        parser.push(b"");
+        assert!(parser.next_request().unwrap().is_none());
+        assert!(!parser.has_partial(), "empty input leaves no partial state");
     }
 
     #[test]

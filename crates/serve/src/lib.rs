@@ -15,14 +15,12 @@
 //!   `GET /healthz`, `GET /readyz`, `GET /metrics`, the registry
 //!   inventory at `GET /v1/models`, the shadow divergence report at
 //!   `GET /v1/models/shadow/report`, and the opt-in admin API
-//!   (`POST /v1/models/load|unload|alias`). Two engines share the handler
-//!   stack: the default nonblocking epoll event loop (Linux; keep-alive,
-//!   pipelining, adaptive micro-batching, bounded admission with fast 429s,
-//!   graceful drain) and the legacy blocking thread pool
-//!   ([`server::ServeMode::Threads`]), kept as a portable fallback and as
-//!   the baseline for `bench_serve`. No new dependencies: the whole stack
-//!   is `std` + the already-vendored serde (epoll is reached through a
-//!   local `extern "C"` shim against the libc `std` already links).
+//!   (`POST /v1/models/load|unload|alias`). One engine serves them: a
+//!   nonblocking epoll event loop with keep-alive, pipelining, adaptive
+//!   micro-batching, bounded admission with fast 429s and graceful drain.
+//!   No new dependencies: the whole stack is `std` + the already-vendored
+//!   serde (epoll is reached through a local `extern "C"` shim against the
+//!   libc `std` already links), which makes the crate Linux only.
 //! * [`bf_registry`] (re-exported here) — the concurrent model registry:
 //!   N loaded [`ModelBundle`]s addressed by content id and mutable
 //!   aliases, epoch-validated lock-free reads, zero-downtime hot swap
@@ -43,13 +41,14 @@
 //! bundle stores the same structs the trainer produced, serialized through
 //! exact round-trip float encoding.
 
-#[cfg(target_os = "linux")]
+#[cfg(not(target_os = "linux"))]
+compile_error!("bf-serve runs on epoll and builds only for Linux");
+
 mod eventloop;
 pub mod http;
 pub mod lru;
 pub mod metrics;
 pub mod server;
-#[cfg(target_os = "linux")]
 mod sys;
 
 /// The bundle format, now owned by `bf-registry`; re-exported so

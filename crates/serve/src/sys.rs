@@ -6,8 +6,6 @@
 //! dependencies. Everything is wrapped in RAII types ([`Epoll`],
 //! [`WakePipe`]) so raw fds never leak past this module.
 
-#![cfg(target_os = "linux")]
-
 use std::io;
 use std::os::unix::io::RawFd;
 

@@ -8,8 +8,6 @@
 //! (line-tagged L1) vs Pascal (sector-tagged L1) — so the fingerprints,
 //! architecture tags, and predictions differ for real reasons.
 
-#![cfg(target_os = "linux")]
-
 use bf_serve::{AliasUpdate, ModelBundle, PredictServer, Registry, ServeConfig, ShadowReport};
 use blackforest::{BlackForest, ModelConfig, Workload};
 use gpu_sim::GpuConfig;

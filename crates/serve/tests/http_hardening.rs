@@ -155,7 +155,6 @@ proptest! {
 /// connection it owes too many response bytes instead of buffering
 /// responses without bound. Once the client reads, every response
 /// arrives, in request order.
-#[cfg(target_os = "linux")]
 #[test]
 fn unread_pipelined_replies_block_the_client_not_the_server() {
     use bf_serve::{ModelBundle, PredictServer, ServeConfig};

@@ -4,8 +4,6 @@
 //! — all against a real socket, complementing `loopback.rs` (which pins
 //! the metric accounting and single-request correctness).
 
-#![cfg(target_os = "linux")]
-
 use bf_serve::{ModelBundle, PredictServer, ServeConfig, ServeMode};
 use blackforest::toolchain::AnalysisReport;
 use blackforest::{BlackForest, ModelConfig, Workload};

@@ -2,10 +2,9 @@
 //! readiness gating, zero-downtime hot reload under sustained keep-alive
 //! load (zero failed requests, every answer bit-identical to exactly one
 //! of the two bundles, drain completes), admin API guards (403/404/409),
-//! per-model cache scoping across swaps, and shadow replay reporting —
-//! all over a real socket.
-
-#![cfg(target_os = "linux")]
+//! per-model cache scoping across swaps, shadow replay reporting, and a
+//! release-only p99 budget keeping shadow replay off the hot path — all
+//! over a real socket.
 
 use bf_serve::{
     AliasUpdate, ModelBundle, ModelsReport, PredictServer, Registry, ServeConfig, ShadowReport,
@@ -535,4 +534,144 @@ fn shadow_replay_populates_the_report_and_metrics() {
 
     handle.stop();
     join.join().expect("server exits");
+}
+
+/// Client-side latencies of one closed-loop pass: `clients` keep-alive
+/// connections, each sending its next `POST /predict` only after the last
+/// answer arrived. Every answer must be a 200.
+fn closed_loop_latencies_us(addr: SocketAddr, clients: usize, per_client: usize) -> Vec<u64> {
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                (0..per_client)
+                    .map(|i| {
+                        // Cycle 256 distinct queries through a 16-entry
+                        // cache so nearly every request runs the forest.
+                        let q = c + i * clients;
+                        let size = 1024.0 + (q % 256) as f64 * 97.0;
+                        let threads = [32.0, 64.0, 128.0, 256.0][q % 4];
+                        let body = format!("{{\"characteristics\": [{size}, {threads}]}}");
+                        let started = Instant::now();
+                        stream
+                            .write_all(request("POST", "/predict", &body, false).as_bytes())
+                            .expect("write");
+                        let (status, payload) = read_response(&mut reader);
+                        assert_eq!(status, 200, "{payload}");
+                        started.elapsed().as_micros() as u64
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let mut latencies: Vec<u64> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+    latencies.sort_unstable();
+    latencies
+}
+
+fn p99(sorted: &[u64]) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * 0.99).round() as usize]
+}
+
+/// Shadow replay stays off the hot path, checked two ways. Timing: the
+/// same closed-loop load (32 keep-alive clients against 4 prediction
+/// workers) with a shadow model attached keeps its client-visible p99
+/// within max(2x, +2 ms) of the p99 without one. Structure: every
+/// `shadow.replay` span runs on a thread that answers no predictions —
+/// the quick fixture replays a row in about a microsecond, far too little
+/// for the p99 budget to notice a replay run inline. Timings mean nothing
+/// in a debug build; run with
+///
+/// ```text
+/// cargo test --release -p bf-serve --test registry_reload -- --include-ignored
+/// ```
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing budgets only hold in release builds"
+)]
+fn shadow_replay_stays_off_the_hot_path() {
+    const CLIENTS: usize = 32;
+    const PER_CLIENT: usize = 12;
+    let (a, b) = bundles();
+    let (registry, id_a) = registry_with_default(a);
+    let id_b = registry.load_bundle(b.clone()).expect("load b");
+    let (handle, join) = spawn_with(
+        Arc::clone(&registry),
+        ServeConfig {
+            threads: 4,
+            cache_capacity: 16,
+            ..ServeConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    // Warm up with one full unmeasured pass. A lighter warm-up leaves the
+    // steady pass cold: its p99 then reads several times any later pass's,
+    // and the budget it sets is too loose to mean anything.
+    closed_loop_latencies_us(addr, CLIENTS, PER_CLIENT);
+    let steady_p99 = p99(&closed_loop_latencies_us(addr, CLIENTS, PER_CLIENT)) as f64;
+
+    registry
+        .set_alias(AliasUpdate {
+            alias: "default".into(),
+            id: Some(id_a),
+            shadow: Some(id_b),
+            ..AliasUpdate::default()
+        })
+        .expect("attach shadow");
+    let shadow_p99 = p99(&closed_loop_latencies_us(addr, CLIENTS, PER_CLIENT)) as f64;
+
+    // A short traced pass, after the timed ones so the recorder's cost
+    // stays out of them. Replay is asynchronous: wait until it catches up.
+    let ((), trace) = bf_trace::capture(|| {
+        let replayed = registry.shadow_report().requests;
+        closed_loop_latencies_us(addr, 4, 8);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registry.shadow_report().requests < replayed + 32 {
+            assert!(
+                Instant::now() < deadline,
+                "shadow never replayed the traced pass"
+            );
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    });
+
+    handle.stop();
+    join.join().expect("server exits");
+
+    let threads_of = |name: &str| -> std::collections::BTreeSet<u64> {
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.thread)
+            .collect()
+    };
+    let (predicting, replaying) = (threads_of("predict"), threads_of("shadow.replay"));
+    assert!(
+        !predicting.is_empty() && !replaying.is_empty(),
+        "traced pass recorded no predict or shadow.replay span ({} spans)",
+        trace.spans.len()
+    );
+    assert!(
+        predicting.is_disjoint(&replaying),
+        "shadow replay ran on a prediction thread: predict on {predicting:?}, \
+         replay on {replaying:?}"
+    );
+
+    let budget = (steady_p99 * 2.0).max(steady_p99 + 2_000.0);
+    println!("steady p99 {steady_p99}us, shadow p99 {shadow_p99}us, budget {budget}us");
+    assert!(
+        shadow_p99 <= budget,
+        "shadow replay regressed p99: {shadow_p99}us vs steady {steady_p99}us \
+         (budget {budget}us)"
+    );
 }
