@@ -6,8 +6,19 @@
 //! bank read the same word (broadcast). Otherwise the access replays once per
 //! extra word mapped to the most-contended bank — the mechanism behind
 //! `reduce1`'s `shared_replay_overhead` bottleneck (paper §5.2).
+//!
+//! Two implementations compute the same degree. [`conflict_degree`] is the
+//! plain, allocating reference: it keeps a `Vec` of words per bank. The
+//! simulator's compile stage ([`crate::soa`]) runs
+//! [`conflict_degree_scratch`] on every shared access, without sorting or
+//! allocating: bank and word come from shifts and masks (bank count and
+//! width are powers of two on every preset), a bitmask answers the
+//! conflict-free case in one pass, and otherwise per-bank chains in a
+//! reused [`BankScratch`] count the distinct words, resetting only the
+//! banks the access touched. The static analyzer and the property tests
+//! hold the two to the same answer.
 
-use crate::trace::LaneMask;
+use crate::trace::{first_lanes, LaneMask};
 
 /// Computes the conflict degree of a shared-memory access: the maximum
 /// number of *distinct words* any single bank must serve. Degree 1 means
@@ -52,11 +63,22 @@ pub fn replays(offsets: &[u32], width: u8, mask: LaneMask, banks: u32, bank_widt
 /// Reusable scratch space for [`conflict_degree_scratch`], so the SoA batch
 /// compiler evaluates every shared access in a launch without allocating the
 /// per-bank `Vec<Vec<u32>>` of [`conflict_degree`] each time.
+///
+/// The distinct words seen in each bank form a singly linked chain through
+/// `words`/`next`, headed at `head[bank]` with its length in `count[bank]`.
+/// Only the banks listed in `touched` hold state between the start and the
+/// end of one call; they are reset before it returns.
 #[derive(Debug, Default)]
 pub struct BankScratch {
+    head: Vec<u32>,
+    count: Vec<u32>,
     words: Vec<u32>,
-    counts: Vec<u32>,
+    next: Vec<u32>,
+    touched: Vec<u32>,
 }
+
+/// End of a per-bank chain in [`BankScratch`].
+const NIL: u32 = u32::MAX;
 
 impl BankScratch {
     /// Fresh scratch space (buffers grow on first use).
@@ -65,9 +87,16 @@ impl BankScratch {
     }
 }
 
-/// Allocation-free equivalent of [`conflict_degree`]: the touched words are
-/// collected into `scratch`, sorted and deduplicated, then counted per bank.
-/// Produces the identical degree for every input.
+/// Allocation-free, division-free equivalent of [`conflict_degree`]:
+/// produces the identical degree for every input with `banks` and
+/// `bank_width` powers of two (every [`crate::GpuConfig`] preset).
+///
+/// It walks only the set lanes of `mask`. A first pass marks each touched
+/// bank in a bitmask and returns degree 1 when every active word lands in a
+/// distinct bank (the common, conflict-free case). Otherwise a
+/// second pass counts the distinct words of each bank along its chain in
+/// `scratch`, in time linear in the active words times the longest chain,
+/// and resets only the banks it touched.
 pub fn conflict_degree_scratch(
     offsets: &[u32],
     width: u8,
@@ -76,32 +105,74 @@ pub fn conflict_degree_scratch(
     bank_width: u32,
     scratch: &mut BankScratch,
 ) -> u32 {
-    debug_assert!(banks.is_power_of_two());
-    scratch.words.clear();
-    let words_per_access = (width as u32).div_ceil(bank_width).max(1);
-    for (lane, &off) in offsets.iter().enumerate() {
-        if mask & (1 << lane) == 0 {
-            continue;
+    debug_assert!(banks.is_power_of_two() && bank_width.is_power_of_two());
+    let shift = bank_width.trailing_zeros();
+    let bank_mask = banks - 1;
+    let words_per_access = ((width as u32 + bank_width - 1) >> shift).max(1);
+    // Lanes past the end of `offsets` never take part, as in the
+    // reference's `enumerate` walk.
+    let active = mask & first_lanes(offsets.len());
+
+    // Fast path: no two active words share a bank, so no bank serves more
+    // than one word.
+    if banks <= 64 {
+        let mut seen = 0u64;
+        let mut distinct = true;
+        let mut m = active;
+        'lanes: while m != 0 {
+            let first = offsets[m.trailing_zeros() as usize] >> shift;
+            m &= m - 1;
+            for w in 0..words_per_access {
+                let bit = 1u64 << ((first + w) & bank_mask);
+                if seen & bit != 0 {
+                    distinct = false;
+                    break 'lanes;
+                }
+                seen |= bit;
+            }
         }
-        for w in 0..words_per_access {
-            scratch.words.push(off / bank_width + w);
+        if distinct {
+            return 1;
         }
     }
-    scratch.words.sort_unstable();
-    scratch.words.dedup();
-    if scratch.counts.len() < banks as usize {
-        scratch.counts.resize(banks as usize, 0);
+
+    let s = scratch;
+    if s.head.len() < banks as usize {
+        s.head.resize(banks as usize, NIL);
+        s.count.resize(banks as usize, 0);
     }
     let mut degree = 1u32;
-    for &w in &scratch.words {
-        let b = (w % banks) as usize;
-        scratch.counts[b] += 1;
-        degree = degree.max(scratch.counts[b]);
+    let mut m = active;
+    while m != 0 {
+        let first = offsets[m.trailing_zeros() as usize] >> shift;
+        m &= m - 1;
+        for w in 0..words_per_access {
+            let word = first + w;
+            let bank = (word & bank_mask) as usize;
+            let mut node = s.head[bank];
+            while node != NIL && s.words[node as usize] != word {
+                node = s.next[node as usize];
+            }
+            if node != NIL {
+                continue; // broadcast: this bank already serves the word
+            }
+            if s.head[bank] == NIL {
+                s.touched.push(bank as u32);
+            }
+            s.next.push(s.head[bank]);
+            s.head[bank] = s.words.len() as u32;
+            s.words.push(word);
+            s.count[bank] += 1;
+            degree = degree.max(s.count[bank]);
+        }
     }
-    // Reset only the touched banks so the next access starts clean.
-    for &w in &scratch.words {
-        scratch.counts[(w % banks) as usize] = 0;
+    for &bank in &s.touched {
+        s.head[bank as usize] = NIL;
+        s.count[bank as usize] = 0;
     }
+    s.touched.clear();
+    s.words.clear();
+    s.next.clear();
     degree
 }
 

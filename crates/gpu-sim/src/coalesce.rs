@@ -12,8 +12,13 @@
 //! A perfectly coalesced 4-byte access by 32 lanes therefore costs one
 //! 128-byte transaction (or four 32-byte sectors); a fully scattered access
 //! costs up to 32.
+//!
+//! [`coalesce_into`], the form the simulator runs, visits only the active
+//! lanes and drops a segment equal to the one before it. Lanes that walk
+//! memory upwards thus produce the sorted, unique transaction list as they
+//! go; only an access whose segments arrive out of order pays for a sort.
 
-use crate::trace::LaneMask;
+use crate::trace::{first_lanes, LaneMask};
 
 /// One memory transaction produced by coalescing: a segment-aligned address
 /// and segment size in bytes.
@@ -46,27 +51,43 @@ pub fn coalesce(addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> Vec<T
 /// batch compiler ([`crate::soa`]) calls this in a tight sweep with one
 /// reused scratch buffer per launch instead of allocating a `Vec` per
 /// access; the produced address set is identical to [`coalesce`]'s.
+///
+/// It walks only the set lanes of `mask` and appends a segment only when it
+/// differs from the last one appended. Lanes that address memory in
+/// ascending order (the coalesced common case) therefore leave `out` sorted
+/// and unique as built; only when some segment arrives below its
+/// predecessor is `out` sorted and deduplicated at the end.
 pub fn coalesce_into(addrs: &[u64], width: u8, mask: LaneMask, segment: u32, out: &mut Vec<u64>) {
     debug_assert!(segment.is_power_of_two());
-    let seg = segment as u64;
+    let align = !(segment as u64 - 1);
     out.clear();
-    for (lane, &addr) in addrs.iter().enumerate() {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let first = addr & !(seg - 1);
-        let last = (addr + width as u64 - 1) & !(seg - 1);
+    let mut in_order = true;
+    let mut m = mask & first_lanes(addrs.len());
+    while m != 0 {
+        let addr = addrs[m.trailing_zeros() as usize];
+        m &= m - 1;
+        let first = addr & align;
+        let last = (addr + width as u64 - 1) & align;
         let mut s = first;
         loop {
-            out.push(s);
+            match out.last() {
+                Some(&prev) if prev == s => {}
+                Some(&prev) => {
+                    in_order &= prev < s;
+                    out.push(s);
+                }
+                None => out.push(s),
+            }
             if s == last {
                 break;
             }
-            s += seg;
+            s += segment as u64;
         }
     }
-    out.sort_unstable();
-    out.dedup();
+    if !in_order {
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 /// Total bytes the active lanes actually requested (the numerator of

@@ -91,9 +91,33 @@ fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
 pub fn simulate_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<LaunchResult> {
     let lc = kernel.launch_config();
     let occ = occupancy(gpu, &lc)?;
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    simulate_sampled_launch_with(gpu, &lc, occ, &traces, &EngineOptions::default())
+    let traces = sampled_traces(gpu, kernel, &lc, occ);
+    let result = simulate_sampled_launch_with(gpu, &lc, occ, &traces, &EngineOptions::default());
+    drop_traces(traces);
+    result
+}
+
+/// Builds the representative block traces of a launch (the blocks
+/// [`sample_block_ids`] picks for `occ`) under a `trace_build` span.
+pub(crate) fn sampled_traces(
+    gpu: &GpuConfig,
+    kernel: &dyn KernelTrace,
+    lc: &LaunchConfig,
+    occ: Occupancy,
+) -> Vec<BlockTrace> {
+    let _build = bf_trace::span!("trace_build");
+    sample_block_ids(lc.grid_blocks, occ.blocks_per_sm)
+        .into_iter()
+        .map(|b| kernel.block_trace(b, gpu))
+        .collect()
+}
+
+/// Frees a launch's block traces under a `trace_drop` span: every lane
+/// address vector is its own allocation, so the drop is a measurable share
+/// of a launch.
+pub(crate) fn drop_traces(traces: Vec<BlockTrace>) {
+    let _drop = bf_trace::span!("trace_drop");
+    drop(traces);
 }
 
 /// Simulates a launch from pre-built sampled block traces. `occ` must be
@@ -116,6 +140,7 @@ pub fn simulate_sampled_launch_with(
     // engine; sufficiently periodic sets short-circuit through steady-state
     // extrapolation instead of simulating every iteration.
     let extrapolated = if opts.loop_extrapolation {
+        let _detect = bf_trace::span!("steady_detect");
         steady::try_extrapolate(gpu, traces, || fresh_caches(gpu))
     } else {
         None

@@ -44,7 +44,9 @@
 
 use crate::arch::GpuConfig;
 use crate::diskcache::{self, DiskCache};
-use crate::engine::{sample_block_ids, simulate_sampled_launch_with, EngineOptions, LaunchResult};
+use crate::engine::{
+    drop_traces, sampled_traces, simulate_sampled_launch_with, EngineOptions, LaunchResult,
+};
 use crate::occupancy::occupancy;
 use crate::trace::{BlockTrace, KernelTrace, LaunchConfig};
 use crate::Result;
@@ -383,14 +385,13 @@ pub(crate) fn simulate_cached(
     let opts = EngineOptions::default();
     // Tagged kernels are keyed without materialising their traces, so a hit
     // skips both trace construction and the content walk.
-    let (key, mut traces) = match kernel.content_tag() {
+    let (key, traces) = match kernel.content_tag() {
         Some(tag) => (
             launch_key_tagged(gpu_fp, &lc, tag, opts.loop_extrapolation),
             None,
         ),
         None => {
-            let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-            let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+            let traces = sampled_traces(gpu, kernel, &lc, occ);
             (
                 launch_key(gpu_fp, &lc, &traces, opts.loop_extrapolation),
                 Some(traces),
@@ -398,13 +399,15 @@ pub(crate) fn simulate_cached(
         }
     };
     if let Some(result) = cache.get(key) {
+        if let Some(traces) = traces {
+            drop_traces(traces);
+        }
         return Ok(result);
     }
-    let traces = traces.take().unwrap_or_else(|| {
-        let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-        ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect()
-    });
-    let result = simulate_sampled_launch_with(gpu, &lc, occ, &traces, &opts)?;
+    let traces = traces.unwrap_or_else(|| sampled_traces(gpu, kernel, &lc, occ));
+    let result = simulate_sampled_launch_with(gpu, &lc, occ, &traces, &opts);
+    drop_traces(traces);
+    let result = result?;
     cache.put(key, result.clone());
     Ok(result)
 }

@@ -11,7 +11,11 @@
 //!    contiguous array, with all data-independent work — active-lane
 //!    counts, requested bytes, coalesced transaction addresses (into a
 //!    shared `u64` arena), bank-conflict replay counts — precomputed using
-//!    reusable scratch buffers (no per-access allocation).
+//!    reusable scratch buffers (no per-access allocation). Shared-memory
+//!    offsets are block-relative, so the blocks of one launch mostly repeat
+//!    each other's shared accesses: a shared access equal to the
+//!    instruction at the same (warp, pc) of the first block reuses that
+//!    op's replay count, and only the others run the bank kernel.
 //! 2. **Execute** ([`execute`]): the event-driven scheduler loop runs over
 //!    the `Op` slice. Only genuinely dynamic state remains: the ready
 //!    queue, pipeline next-free times, and L1/L2 tag lookups.
@@ -123,14 +127,14 @@ fn arena_push(arena: &mut Vec<u64>, addrs: &[u64]) -> Result<(u32, u32)> {
 /// structural checks as the reference path) and runs the coalescing and
 /// bank-conflict sweeps with reused scratch buffers.
 pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch> {
-    for b in blocks {
-        b.validate()?;
-    }
-
-    // Pass 1 — trace walk: assemble the op skeletons (kind, lanes, and the
-    // per-kind static costs that need no address analysis).
+    // Pass 1 — trace walk: validate the blocks, then assemble the op
+    // skeletons (kind, lanes, and the per-kind static costs that need no
+    // address analysis).
     let mut cl = {
         let _walk = bf_trace::span!("trace_walk");
+        for b in blocks {
+            b.validate()?;
+        }
         let mut ops: Vec<Op> = Vec::new();
         let mut warps: Vec<CompiledWarp> = Vec::new();
         let mut block_warp_counts = Vec::with_capacity(blocks.len());
@@ -227,15 +231,20 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
         }
     }
 
-    // Pass 3 — bank-conflict sweep over the shared-memory accesses.
+    // Pass 3 — bank-conflict sweep over the shared-memory accesses. An
+    // access equal to block 0's at the same (warp, pc) reuses its replays
+    // (module docs); replays depend on nothing but the instruction and the
+    // GPU, so the reuse is exact. Every other access runs the bank kernel.
     {
         let _banks = bf_trace::span!("banks");
         let mut scratch = BankScratch::new();
         let mut cursor = 0usize;
-        for b in blocks {
-            for stream in &b.warps {
-                for instr in stream {
-                    let op = &mut cl.ops[cursor];
+        let first = blocks.first().map_or(&[][..], |b| &b.warps[..]);
+        for (bi, b) in blocks.iter().enumerate() {
+            for (wi, stream) in b.warps.iter().enumerate() {
+                let same_warp = if bi == 0 { None } else { first.get(wi) };
+                for (pc, instr) in stream.iter().enumerate() {
+                    let at = cursor;
                     cursor += 1;
                     if let WarpInstruction::LoadShared {
                         offsets,
@@ -248,7 +257,13 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
                         mask,
                     } = instr
                     {
-                        op.replays = banks::replays_scratch(
+                        if same_warp.and_then(|s| s.get(pc)) == Some(instr) {
+                            // Block 0's warp `wi` starts at op `warps[wi].start`.
+                            let reused = cl.ops[cl.warps[wi].start as usize + pc].replays;
+                            cl.ops[at].replays = reused;
+                            continue;
+                        }
+                        cl.ops[at].replays = banks::replays_scratch(
                             offsets,
                             *width,
                             *mask,
@@ -635,6 +650,83 @@ mod tests {
             mask: FULL_MASK,
         });
         assert_bit_identical(&GpuConfig::gtx580(), &[BlockTrace::with_warps(2), uneven]);
+    }
+
+    /// A block whose warps each run one shared load per stride in
+    /// `strides` (lane `i` at `i * stride` bytes), then a store, then a
+    /// barrier.
+    fn shared_block(warps: usize, strides: &[u32], mask: u32) -> BlockTrace {
+        let mut b = BlockTrace::with_warps(warps);
+        for stream in &mut b.warps {
+            for &stride in strides {
+                stream.push(WarpInstruction::LoadShared {
+                    offsets: (0..32).map(|i| i * stride).collect(),
+                    width: 4,
+                    mask,
+                });
+            }
+            stream.push(WarpInstruction::StoreShared {
+                offsets: (0..32).map(|i| i * 128).collect(),
+                width: 4,
+                mask,
+            });
+            stream.push(WarpInstruction::Barrier);
+        }
+        b
+    }
+
+    #[test]
+    fn reuses_first_block_replays_only_for_equal_accesses() {
+        let g = GpuConfig::gtx580();
+        let first = shared_block(2, &[4, 8, 16], FULL_MASK);
+        // Same (warp, pc), different offsets, mask or width: each must
+        // take the bank kernel, not block 0's replays.
+        let strides = shared_block(2, &[16, 4, 64], FULL_MASK);
+        let masks = shared_block(2, &[4, 8, 16], first_lanes(3));
+        let mut widths = first.clone();
+        for stream in &mut widths.warps {
+            if let WarpInstruction::LoadShared { width, .. } = &mut stream[0] {
+                *width = 8;
+            }
+        }
+        assert_bit_identical(&g, &[first.clone(), strides, masks, widths, first]);
+    }
+
+    #[test]
+    fn reuse_survives_blocks_of_other_shapes() {
+        let g = GpuConfig::k20m();
+        let first = shared_block(2, &[4, 8], FULL_MASK);
+        // More warps than block 0, longer and shorter streams, and a
+        // non-shared instruction where block 0 has a shared one.
+        let wider = shared_block(4, &[4, 8], FULL_MASK);
+        let longer = shared_block(2, &[4, 8, 32, 64], FULL_MASK);
+        let shorter = shared_block(2, &[8], FULL_MASK);
+        let mut other_kind = first.clone();
+        for stream in &mut other_kind.warps {
+            stream[0] = WarpInstruction::Alu {
+                count: 2,
+                mask: FULL_MASK,
+            };
+        }
+        assert_bit_identical(
+            &g,
+            &[
+                first,
+                wider,
+                longer,
+                shorter,
+                BlockTrace::with_warps(1),
+                other_kind,
+            ],
+        );
+        // A first block with no warps leaves every later block to the kernel.
+        assert_bit_identical(
+            &g,
+            &[
+                BlockTrace::with_warps(0),
+                shared_block(3, &[16, 32], FULL_MASK),
+            ],
+        );
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub fn try_extrapolate(
     // Rebuild the derived cycle fields exactly as the execute loop does.
     events.elapsed_cycles = cycles;
     events.active_cycles = cycles;
-    events.issue_slots = cycles * gpu.warp_schedulers as f64;
+    events.issue_slots = cycles * gpu.issue_width() as f64;
     events.time_seconds = cycles / (gpu.clock_ghz * 1e9);
     bf_trace::counter!("sim.loop_extrapolated");
     Some(SmResult {
@@ -236,6 +236,15 @@ mod tests {
         WarpInstruction::Alu {
             count,
             mask: FULL_MASK,
+        }
+    }
+
+    fn cold_caches(g: &GpuConfig) -> impl Fn() -> (Cache, Cache) + Copy + '_ {
+        move || {
+            (
+                Cache::new(g.l1_size, g.l1_line, g.l1_assoc),
+                Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc),
+            )
         }
     }
 
@@ -289,12 +298,7 @@ mod tests {
         for stream in &mut b.warps {
             *stream = repeat_unit(&[alu(5)], reps);
         }
-        let caches = || {
-            (
-                Cache::new(g.l1_size, g.l1_line, g.l1_assoc),
-                Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc),
-            )
-        };
+        let caches = cold_caches(&g);
         let extrapolated =
             try_extrapolate(&g, std::slice::from_ref(&b), caches).expect("should extrapolate");
         let (mut l1, mut l2) = caches();
@@ -312,6 +316,23 @@ mod tests {
     }
 
     #[test]
+    fn extrapolated_issue_slots_use_the_issue_width() {
+        // Dual-dispatch Maxwell issues two instructions per scheduler.
+        let g = GpuConfig::gtx980();
+        assert_ne!(g.issue_width(), g.warp_schedulers);
+        let mut b = BlockTrace::with_warps(4);
+        for stream in &mut b.warps {
+            *stream = repeat_unit(&[alu(5)], 200);
+        }
+        let r = try_extrapolate(&g, std::slice::from_ref(&b), cold_caches(&g))
+            .expect("should extrapolate");
+        assert_eq!(
+            r.events.issue_slots,
+            r.events.elapsed_cycles * g.issue_width() as f64
+        );
+    }
+
+    #[test]
     fn unstable_deltas_fall_back() {
         // A stream periodic in *instructions* but whose memory footprint
         // has not reached cache steady state within the probe window would
@@ -319,12 +340,7 @@ mod tests {
         let mut b = BlockTrace::with_warps(1);
         b.warps[0] = repeat_unit(&[alu(1)], MIN_REPETITIONS - 1);
         let g = GpuConfig::gtx580();
-        let caches = || {
-            (
-                Cache::new(g.l1_size, g.l1_line, g.l1_assoc),
-                Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc),
-            )
-        };
+        let caches = cold_caches(&g);
         assert!(try_extrapolate(&g, std::slice::from_ref(&b), caches).is_none());
     }
 }

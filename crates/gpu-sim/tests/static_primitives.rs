@@ -5,12 +5,64 @@
 //! bends any of them, the static and dynamic paths drift apart silently, so
 //! they are pinned here independently of either consumer.
 
-use gpu_sim::banks::{conflict_degree, replays};
-use gpu_sim::coalesce::{coalesce, requested_bytes};
+use gpu_sim::banks::{conflict_degree, conflict_degree_scratch, replays, BankScratch};
+use gpu_sim::coalesce::{coalesce, coalesce_into, requested_bytes};
 use gpu_sim::occupancy::{occupancy, OccupancyLimiter};
 use gpu_sim::trace::LaunchConfig;
 use gpu_sim::GpuConfig;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+
+thread_local! {
+    /// One bank scratch for every case of a property, so per-bank state a
+    /// call fails to reset would corrupt a later case and show.
+    static BANK_SCRATCH: RefCell<BankScratch> = RefCell::new(BankScratch::new());
+    /// One coalescing buffer for every case, refilled by each call.
+    static COALESCE_OUT: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lane masks from dense to a single lane, since the kernels walk set bits.
+fn lane_mask() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c)| a & b & c),
+        (0u32..32).prop_map(|lane| 1 << lane),
+        Just(u32::MAX),
+        Just(0u32),
+    ]
+}
+
+/// The reference set of `segment`-aligned segments the active lanes touch.
+fn segments_touched(addrs: &[u64], width: u8, mask: u32, segment: u32) -> Vec<u64> {
+    let seg = segment as u64;
+    let mut set = BTreeSet::new();
+    for (lane, &addr) in addrs.iter().enumerate() {
+        if mask & (1 << lane) != 0 {
+            let mut s = addr / seg * seg;
+            while s < addr + width as u64 {
+                set.insert(s);
+                s += seg;
+            }
+        }
+    }
+    set.into_iter().collect()
+}
+
+/// Every preset's bank geometry is a power of two, which the bank kernel's
+/// shift-and-mask arithmetic relies on.
+#[test]
+fn every_preset_has_power_of_two_bank_geometry() {
+    for gpu in GpuConfig::presets() {
+        assert!(
+            gpu.shared_banks.is_power_of_two() && gpu.bank_width.is_power_of_two(),
+            "{}: {} banks of {} bytes",
+            gpu.name,
+            gpu.shared_banks,
+            gpu.bank_width
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -101,6 +153,86 @@ proptest! {
         prop_assert_eq!(replays(&broadcast, 4, mask, 32, 4), 0);
         let sequential: Vec<u32> = (0..32).map(|i| (base + i) * 4).collect();
         prop_assert_eq!(replays(&sequential, 4, mask, 32, 4), 0);
+    }
+
+    /// The scratch bank kernel returns the allocating reference's degree on
+    /// random, broadcast-heavy and short offset vectors, for every access
+    /// width and bank geometry, with one scratch reused across all cases.
+    #[test]
+    fn conflict_degree_scratch_matches_reference(
+        pool in prop::collection::vec(0u32..16384, 1..6),
+        picks in prop::collection::vec(0usize..12, 1..=32),
+        mode in 0u8..3,
+        stride in 0u32..40,
+        width in prop_oneof![Just(1u8), Just(2u8), Just(4u8), Just(8u8), Just(16u8)],
+        mask in lane_mask(),
+        banks in prop_oneof![Just(16u32), Just(32u32), Just(64u32)],
+        bank_width in prop_oneof![Just(4u32), Just(8u32)],
+    ) {
+        // Mode 0 repeats pool entries (broadcasts and same-bank conflicts)
+        // where a pick falls inside the pool, mode 1 strides from the first
+        // pool entry, mode 2 scatters every lane.
+        let scatter = |lane: usize, p: usize| {
+            (p as u32 * 32 + lane as u32).wrapping_mul(2_654_435_761) % 16384
+        };
+        let offsets: Vec<u32> = picks
+            .iter()
+            .enumerate()
+            .map(|(lane, &p)| match (mode, pool.get(p)) {
+                (0, Some(&o)) => o,
+                (1, _) => pool[0] + lane as u32 * stride,
+                _ => scatter(lane, p),
+            })
+            .collect();
+        let expected = conflict_degree(&offsets, width, mask, banks, bank_width);
+        let got = BANK_SCRATCH.with(|s| {
+            conflict_degree_scratch(&offsets, width, mask, banks, bank_width, &mut s.borrow_mut())
+        });
+        prop_assert_eq!(
+            got, expected,
+            "offsets {:?} width {} mask {:#x} banks {} bank_width {}",
+            offsets, width, mask, banks, bank_width
+        );
+    }
+
+    /// `coalesce_into` produces the sorted set of segments a `BTreeSet`
+    /// reference collects, on ascending, descending and shuffled lanes and
+    /// on wide accesses placed to straddle segment boundaries, reusing one
+    /// output buffer across all cases.
+    #[test]
+    fn coalesce_into_matches_set_reference(
+        base in 0u64..(1 << 20),
+        stride in prop_oneof![Just(0u64), Just(4u64), Just(8u64), Just(16u64), Just(36u64), Just(128u64)],
+        order in 0u8..3,
+        keys in prop::collection::vec(any::<u64>(), 32),
+        straddle in any::<bool>(),
+        width in prop_oneof![Just(8u8), Just(16u8)],
+        mask in lane_mask(),
+        segment in prop_oneof![Just(32u32), Just(128u32)],
+    ) {
+        let mut addrs: Vec<u64> = (0..32u64)
+            .map(|lane| {
+                let a = base + lane * stride;
+                // Start 4 bytes before a segment end: the access spills over.
+                if straddle { (a / segment as u64 + 1) * segment as u64 - 4 } else { a }
+            })
+            .collect();
+        match order {
+            0 => {}
+            1 => addrs.reverse(),
+            _ => {
+                let mut idx: Vec<usize> = (0..32).collect();
+                idx.sort_by_key(|&i| keys[i]);
+                addrs = idx.into_iter().map(|i| addrs[i]).collect();
+            }
+        }
+        let expected = segments_touched(&addrs, width, mask, segment);
+        let got = COALESCE_OUT.with(|out| {
+            let mut out = out.borrow_mut();
+            coalesce_into(&addrs, width, mask, segment, &mut out);
+            out.clone()
+        });
+        prop_assert_eq!(got, expected, "addrs {:?} width {} mask {:#x}", addrs, width, mask);
     }
 
     /// Residency never exceeds any hardware limit, and the reported limiter

@@ -24,6 +24,7 @@
 use crate::{Application, INPUT2_BASE, INPUT_BASE};
 use gpu_sim::trace::{first_lanes, BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
+use std::sync::OnceLock;
 
 /// Tile edge / threads per block (Rodinia's BLOCK_SIZE).
 pub const BLOCK_SIZE: usize = 16;
@@ -167,6 +168,80 @@ fn ref_off(ty: usize, tx: usize) -> u32 {
     (((BLOCK_SIZE + 1) * (BLOCK_SIZE + 1) + ty * BLOCK_SIZE + tx) * 4) as u32
 }
 
+/// The intra-tile diagonal sweep of one block: Rodinia's forward then
+/// backward loop over the 31 intra-tile diagonals, each a branch, the NW,
+/// W, N and reference loads, the max, the store and a barrier. Its shared
+/// offsets stride 16 words between lanes, the bank-conflicting pattern
+/// described in the module docs. It reads only tile-relative shared
+/// memory, so it is the same for every block, launch and problem size: it
+/// is built once per process and copied into each block trace.
+fn diagonal_section() -> &'static [WarpInstruction] {
+    static SECTION: OnceLock<Vec<WarpInstruction>> = OnceLock::new();
+    SECTION.get_or_init(|| {
+        let mut s = Vec::with_capacity((2 * BLOCK_SIZE - 1) * 8);
+        let mut diag_step = |m: usize, forward: bool| {
+            let mask = first_lanes(m + 1);
+            let coords = |tid: usize| -> (usize, usize) {
+                if forward {
+                    (m - tid + 1, tid + 1)
+                } else {
+                    (BLOCK_SIZE - tid, tid + BLOCK_SIZE - m)
+                }
+            };
+            s.push(WarpInstruction::Branch {
+                divergent: m + 1 < BLOCK_SIZE,
+                mask: T16,
+            });
+            // Load NW, W, N neighbours and the reference cell.
+            for pick in 0..4u8 {
+                let offsets: Vec<u32> = (0..32)
+                    .map(|l| {
+                        if l <= m {
+                            let (ty, tx) = coords(l);
+                            match pick {
+                                0 => temp_off(ty - 1, tx - 1),
+                                1 => temp_off(ty, tx - 1),
+                                2 => temp_off(ty - 1, tx),
+                                _ => ref_off(ty - 1, tx - 1),
+                            }
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                s.push(WarpInstruction::LoadShared {
+                    offsets,
+                    width: 4,
+                    mask,
+                });
+            }
+            s.push(WarpInstruction::Alu { count: 3, mask });
+            s.push(WarpInstruction::StoreShared {
+                offsets: (0..32)
+                    .map(|l| {
+                        if l <= m {
+                            let (ty, tx) = coords(l);
+                            temp_off(ty, tx)
+                        } else {
+                            0
+                        }
+                    })
+                    .collect(),
+                width: 4,
+                mask,
+            });
+            s.push(WarpInstruction::Barrier);
+        };
+        for m in 0..BLOCK_SIZE {
+            diag_step(m, true);
+        }
+        for m in (0..BLOCK_SIZE - 1).rev() {
+            diag_step(m, false);
+        }
+        s
+    })
+}
+
 impl KernelTrace for NwKernel {
     fn name(&self) -> String {
         format!("needle_cuda_shared_{}", self.kernel)
@@ -200,6 +275,9 @@ impl KernelTrace for NwKernel {
 
         let mut trace = BlockTrace::with_warps(1);
         let s = &mut trace.warps[0];
+        // Prologue (index math, boundary and reference loads, barrier),
+        // the diagonal section, then the 16 write-back pairs.
+        s.reserve(8 + 4 * BLOCK_SIZE + diagonal_section().len());
 
         // Index arithmetic.
         s.push(WarpInstruction::Alu {
@@ -288,67 +366,8 @@ impl KernelTrace for NwKernel {
         }
         s.push(WarpInstruction::Barrier);
 
-        // Intra-tile diagonals. Shared offsets stride 16 words between lanes,
-        // the bank-conflicting pattern described in the module docs.
-        let diag_step = |s: &mut Vec<WarpInstruction>, m: usize, forward: bool| {
-            let mask = first_lanes(m + 1);
-            let coords = |tid: usize| -> (usize, usize) {
-                if forward {
-                    (m - tid + 1, tid + 1)
-                } else {
-                    (BLOCK_SIZE - tid, tid + BLOCK_SIZE - m)
-                }
-            };
-            s.push(WarpInstruction::Branch {
-                divergent: m + 1 < BLOCK_SIZE,
-                mask: T16,
-            });
-            // Load NW, W, N neighbours and the reference cell.
-            for pick in 0..4u8 {
-                let offsets: Vec<u32> = (0..32)
-                    .map(|l| {
-                        if l <= m {
-                            let (ty, tx) = coords(l);
-                            match pick {
-                                0 => temp_off(ty - 1, tx - 1),
-                                1 => temp_off(ty, tx - 1),
-                                2 => temp_off(ty - 1, tx),
-                                _ => ref_off(ty - 1, tx - 1),
-                            }
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                s.push(WarpInstruction::LoadShared {
-                    offsets,
-                    width: 4,
-                    mask,
-                });
-            }
-            s.push(WarpInstruction::Alu { count: 3, mask });
-            s.push(WarpInstruction::StoreShared {
-                offsets: (0..32)
-                    .map(|l| {
-                        if l <= m {
-                            let (ty, tx) = coords(l);
-                            temp_off(ty, tx)
-                        } else {
-                            0
-                        }
-                    })
-                    .collect(),
-                width: 4,
-                mask,
-            });
-            s.push(WarpInstruction::Barrier);
-        };
-        for m in 0..BLOCK_SIZE {
-            diag_step(s, m, true);
-        }
-        for m in (0..BLOCK_SIZE - 1).rev() {
-            diag_step(s, m, false);
-        }
+        // Intra-tile diagonals: the same instructions for every tile.
+        s.extend_from_slice(diagonal_section());
 
         // Write the tile back: 16 coalesced row stores.
         for ty in 0..BLOCK_SIZE {

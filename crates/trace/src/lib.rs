@@ -450,13 +450,17 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert_and_record_nothing() {
-        // Not inside a capture: recorder is disabled.
-        let mut sp = span!("ghost", rows = 3u64);
-        assert!(!sp.is_active());
-        assert!(sp.id().is_none());
-        sp.attr("extra", 1u64);
-        drop(sp);
-        counter!("ghost.count");
+        // Hold the session lock so no concurrent capture enables the
+        // recorder while this thread asserts it is off.
+        {
+            let _session = lock_ignoring_poison(&RECORDER.session);
+            let mut sp = span!("ghost", rows = 3u64);
+            assert!(!sp.is_active());
+            assert!(sp.id().is_none());
+            sp.attr("extra", 1u64);
+            drop(sp);
+            counter!("ghost.count");
+        }
         let (_, trace) = capture(|| {});
         assert!(
             trace.spans.is_empty(),
@@ -605,7 +609,11 @@ mod tests {
             })
         });
         assert!(result.is_err());
-        assert!(!enabled(), "recorder left enabled after panic");
+        {
+            // Under the session lock no other capture can have enabled it.
+            let _session = lock_ignoring_poison(&RECORDER.session);
+            assert!(!enabled(), "recorder left enabled after panic");
+        }
         // And a later capture starts clean.
         let (_, trace) = capture(|| {});
         assert!(trace.spans.is_empty());
