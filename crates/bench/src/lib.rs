@@ -1,26 +1,100 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see `DESIGN.md` for the experiment index).
+//! The reproduction table: every table and figure of the paper plus the
+//! repo's extensions, each rendered as the text committed under
+//! `results/<id>.txt` (see `DESIGN.md` for the experiment index and
+//! `EXPERIMENTS.md` for paper-vs-measured values).
 //!
-//! Each `fig*`/`table*` binary prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records paper-vs-measured values. Set
-//! `BF_QUICK=1` to shrink the sweeps for smoke runs.
+//! `blackforest reproduce <id|all>` prints entries; the release-only
+//! `tests/reproduce.rs` checks every one byte for byte against its file.
 
-use blackforest::collect::{self, CollectOptions};
+use blackforest::collect::CollectOptions;
 use blackforest::model::{BlackForestModel, ModelConfig};
 use blackforest::report;
 use blackforest::Dataset;
-use gpu_sim::GpuConfig;
 
-/// Whether quick mode is enabled (`BF_QUICK=1`).
-pub fn quick_mode() -> bool {
-    std::env::var("BF_QUICK").map(|v| v == "1").unwrap_or(false)
+/// `writeln!` into a `String` report (formatting into a `String` cannot
+/// fail).
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        writeln!($out, $($arg)*).expect("write to String")
+    }};
+}
+
+/// `write!` into a `String` report.
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        write!($out, $($arg)*).expect("write to String")
+    }};
+}
+
+mod ext;
+mod paper;
+
+/// One reproducible artifact: its id, which is the stem of its results
+/// file, and the function that writes its text.
+pub type Entry = (&'static str, fn(&mut String));
+
+/// Every reproducible artifact, paper tables and figures first.
+pub const ENTRIES: &[Entry] = &[
+    ("table1", paper::table1),
+    ("table2", paper::table2),
+    ("fig2", paper::fig2),
+    ("fig3", paper::fig3),
+    ("fig4", paper::fig4),
+    ("fig5", paper::fig5),
+    ("fig6", paper::fig6),
+    ("fig7", paper::fig7),
+    ("fig8", paper::fig8),
+    ("ext_power", ext::power),
+    ("ext_similarity", ext::similarity),
+    ("ext_ladder", ext::ladder),
+    ("ext_training_size", ext::training_size),
+    ("ext_tiles", ext::tiles),
+    ("hwscale", ext::hwscale),
+];
+
+/// The entries `id` names: one entry, or all of them for `all`.
+pub fn select(id: &str) -> Result<&'static [Entry], String> {
+    if id == "all" {
+        return Ok(ENTRIES);
+    }
+    let known: Vec<&str> = ENTRIES.iter().map(|(id, _)| *id).collect();
+    let pos = known.iter().position(|k| *k == id).ok_or_else(|| {
+        format!(
+            "unknown reproduction id {id}; one of: all, {}",
+            known.join(", ")
+        )
+    })?;
+    Ok(&ENTRIES[pos..=pos])
+}
+
+/// Runs one entry under a trace span named by its id and returns its text.
+pub fn render((id, write): &Entry) -> String {
+    let _span = bf_trace::Span::enter(id);
+    let mut out = String::new();
+    write(&mut out);
+    out
 }
 
 /// The standard collection options used by all figure experiments:
 /// 3 profiler repetitions with ±2% measurement noise, as real `nvprof`
 /// collection would exhibit.
-pub fn figure_collect_options() -> CollectOptions {
+fn figure_collect_options() -> CollectOptions {
     CollectOptions::default().with_repetitions(3, 0.02)
+}
+
+/// The collection options of the hardware-scaling experiments: machine
+/// metrics injected and constant columns kept, so per-GPU schemas line up.
+fn hw_collect_options() -> CollectOptions {
+    CollectOptions {
+        include_machine_metrics: true,
+        drop_constant: false,
+        ..figure_collect_options()
+    }
 }
 
 /// The standard model configuration for figures: the paper's 500-tree
@@ -32,85 +106,64 @@ pub fn figure_collect_options() -> CollectOptions {
 /// protocol is interpolation — unseen sizes *within* the profiled sweep —
 /// and a split that drops a boundary size from training would silently turn
 /// Figures 5b/7 into an extrapolation test the method never claims to pass.
-pub fn figure_model_config() -> ModelConfig {
+fn figure_model_config() -> ModelConfig {
     ModelConfig {
-        n_trees: if quick_mode() { 120 } else { 500 },
         seed: 2121,
         ..ModelConfig::default()
     }
 }
 
-/// Reduction sweep for Figures 2–4 (shrunk under `BF_QUICK`).
-pub fn reduce_sweep() -> (Vec<usize>, Vec<usize>) {
-    if quick_mode() {
-        ((14..=18).map(|e| 1usize << e).collect(), vec![64, 256])
-    } else {
-        collect::paper_reduce_sweep()
-    }
+/// Writes the figure banner.
+fn banner(out: &mut String, id: &str, title: &str) {
+    outln!(
+        out,
+        "=============================================================="
+    );
+    outln!(out, "{id}: {title}");
+    outln!(
+        out,
+        "=============================================================="
+    );
 }
 
-/// MM sweep for Figures 5 and 7.
-pub fn matmul_sweep() -> Vec<usize> {
-    if quick_mode() {
-        (2..=16).step_by(2).map(|k| k * 16).collect()
-    } else {
-        collect::paper_matmul_sizes()
-    }
-}
-
-/// NW sweep for Figures 6 and 8.
-pub fn nw_sweep() -> Vec<usize> {
-    if quick_mode() {
-        (1..=16).map(|k| k * 64).collect()
-    } else {
-        collect::paper_nw_lengths()
-    }
-}
-
-/// Prints the figure banner.
-pub fn banner(id: &str, title: &str) {
-    println!("==============================================================");
-    println!("{id}: {title}");
-    println!("==============================================================");
-}
-
-/// Prints the standard per-kernel analysis block used by Figures 2–4:
+/// Writes the standard per-kernel analysis block used by Figures 2–4:
 /// importance chart (subfigure a), partial dependence of the top counter
 /// (subfigure b), and the PCA component table (the in-text PC analysis).
-pub fn print_kernel_analysis(ds: &Dataset, model: &BlackForestModel) {
-    println!(
+fn kernel_analysis(out: &mut String, ds: &Dataset, model: &BlackForestModel) {
+    outln!(
+        out,
         "dataset: {} runs x {} predictors; forest OOB MSE {:.4e}, explained variance {:.1}%",
         ds.len(),
         ds.n_features(),
         model.validation.oob_mse,
         model.validation.oob_r_squared * 100.0
     );
-    println!();
-    println!("(a) {}", report::importance_chart(model, 10));
+    outln!(out);
+    outln!(out, "(a) {}", report::importance_chart(model, 10));
     if let Some(top) = model.ranking.first() {
-        println!("(b) {}", report::partial_dependence_chart(model, top, 32));
+        outln!(
+            out,
+            "(b) {}",
+            report::partial_dependence_chart(model, top, 32)
+        );
     }
     if let Some(pca) = &model.pca {
-        println!("(c) {}", report::pca_table(pca, 5));
+        outln!(out, "(c) {}", report::pca_table(pca, 5));
     }
 }
 
-/// Returns the named GPU preset.
-pub fn gpu_by_name(name: &str) -> Option<GpuConfig> {
-    GpuConfig::by_name(name)
-}
-
-/// Prints the per-counter model curves of subfigures 5(c)/6(c): for each
+/// Writes the per-counter model curves of subfigures 5(c)/6(c): for each
 /// retained counter, measured (dotted line in the paper) vs model-predicted
 /// (solid line) values over the characteristic sweep.
-pub fn print_counter_model_series(
+fn counter_model_series(
+    out: &mut String,
     predictor: &blackforest::predict::ProblemScalingPredictor,
     ds: &Dataset,
     char_name: &str,
     max_rows: usize,
 ) {
     let Some(cj) = ds.feature_index(char_name) else {
-        println!("(characteristic {char_name} missing)");
+        outln!(out, "(characteristic {char_name} missing)");
         return;
     };
     // One row per distinct characteristic value (thinned to max_rows).
@@ -127,7 +180,8 @@ pub fn print_counter_model_series(
         let Some(kj) = ds.feature_index(&model.counter) else {
             continue;
         };
-        println!(
+        outln!(
+            out,
             "  {} ({}; R^2 {:.4}): {:>8}  {:>14}  {:>14}",
             model.counter,
             model.family(),
@@ -140,27 +194,7 @@ pub fn print_counter_model_series(
             let c = ds.rows[i][cj];
             let measured = ds.rows[i][kj];
             let predicted = model.predict(&[c]);
-            println!("      {c:>16.0}  {measured:>14.4}  {predicted:>14.4}");
+            outln!(out, "      {c:>16.0}  {measured:>14.4}  {predicted:>14.4}");
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gpu_lookup_is_case_insensitive() {
-        assert!(gpu_by_name("GTX580").is_some());
-        assert!(gpu_by_name("k20m").is_some());
-        assert!(gpu_by_name("rtx9090").is_none());
-    }
-
-    #[test]
-    fn sweeps_are_nonempty() {
-        let (s, t) = reduce_sweep();
-        assert!(!s.is_empty() && !t.is_empty());
-        assert!(!matmul_sweep().is_empty());
-        assert!(!nw_sweep().is_empty());
     }
 }

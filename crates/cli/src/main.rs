@@ -14,6 +14,8 @@
 //!   registry (`GET /v1/models`).
 //! * `lint --workload W [--format json] [--oracle]` — static analysis with
 //!   clippy-style diagnostics; no simulation unless `--oracle` is given.
+//! * `reproduce <ID|all>` — print a paper table, figure or extension
+//!   exactly as committed in `results/ID.txt`.
 
 use bf_analyze::Severity;
 use bf_serve::{AliasUpdate, ModelBundle, PredictServer, Registry, ServeConfig};
@@ -45,6 +47,9 @@ COMMANDS:
     lint     --workload W [--gpu NAME] [--format text|json] [--oracle]
              [--blocks] [--what-if --model BUNDLE.json]
              [--fail-on SEV] [--out FILE] [--quick]
+    reproduce <ID|all>           print a paper table, figure or extension
+                                 as committed in results/ID.txt (table1,
+                                 fig2, ext_ladder, hwscale, ...)
 
     Every command also accepts --timing and --trace-out FILE.
 
@@ -133,6 +138,8 @@ environment variables.
 
 struct Args {
     command: String,
+    /// The positional operand of `reproduce`.
+    id: Option<String>,
     workload: Option<String>,
     gpu: String,
     out: Option<PathBuf>,
@@ -162,6 +169,7 @@ struct Args {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         command: argv.first().cloned().ok_or("missing command")?,
+        id: None,
         workload: None,
         gpu: "gtx580".into(),
         out: None,
@@ -268,6 +276,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--trace-out" => {
                 args.trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a value")?))
             }
+            id if args.command == "reproduce" && args.id.is_none() && !id.starts_with('-') => {
+                args.id = Some(id.to_string())
+            }
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -277,8 +288,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 // Every artifact writer (`collect --out`, `analyze --out`, `train --save`,
 // `lint --out`, `--trace-out`) routes through the shared helper so a typo'd
 // directory fails with a clear message *before* minutes of simulation, not
-// with a bare OS error after them. The helper lives in the core crate so
-// the benchmark bins and the server share the same behaviour.
+// with a bare OS error after them.
 use blackforest::artifact::{resolve_out_path, write_artifact};
 
 fn gpu_by_name(name: &str) -> Result<GpuConfig, String> {
@@ -393,6 +403,7 @@ fn command_span_name(command: &str) -> &'static str {
         "predict" => "predict_cmd",
         "hwscale" => "hwscale",
         "lint" => "lint",
+        "reproduce" => "reproduce",
         _ => "command",
     }
 }
@@ -744,18 +755,9 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
                 blackforest::predict::HwFeatureStrategy::MixedImportance,
             )
             .map_err(|e| e.to_string())?;
-            println!(
-                "hardware-scaling scope sweep: {} across {} GPUs, {} architectures",
-                report.workload,
-                report.zoo.len(),
-                report.architectures.len()
-            );
-            println!();
-            print!("{}", blackforest::hwscale::curve_table(&report));
-            println!();
             print!(
                 "{}",
-                blackforest::hwscale::cells_table(&report, args.target.as_deref())
+                blackforest::hwscale::render(&report, cfg.n_trees, args.target.as_deref())
             );
             if let Some(out) = &args.out {
                 let json = serde_json::to_string_pretty(&report)
@@ -832,6 +834,17 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
                 _ => ExitCode::SUCCESS,
             })
         }
+        "reproduce" => {
+            let id = args
+                .id
+                .as_deref()
+                .ok_or("reproduce needs an id (or `all`)")?;
+            // Stdout is line-buffered, so `all` shows each entry as it ends.
+            for entry in bf_bench::select(id)? {
+                print!("{}", bf_bench::render(entry));
+            }
+            Ok(ExitCode::SUCCESS)
+        }
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -904,6 +917,27 @@ mod tests {
         assert!(args.timing);
         assert_eq!(args.trace_out.as_deref(), Some(Path::new("t.json")));
         assert_eq!(command_span_name(&args.command), "train");
+    }
+
+    #[test]
+    fn reproduce_reads_its_id_and_rejects_unknown_ones() {
+        let argv: Vec<String> = ["reproduce", "fig2", "--timing"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = parse_args(&argv).unwrap();
+        assert_eq!(args.id.as_deref(), Some("fig2"));
+        assert_eq!(command_span_name(&args.command), "reproduce");
+
+        let argv: Vec<String> = ["reproduce", "nosuch"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = run_command(&parse_args(&argv).unwrap()).unwrap_err();
+        assert!(err.contains("nosuch"), "unhelpful error: {err}");
+        for (id, _) in bf_bench::ENTRIES {
+            assert!(err.contains(id), "error does not list {id}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Artifact-path validation shared by every writer in the toolchain.
 //!
-//! The CLI, the benchmark bins, and the serving stack all write JSON
-//! artifacts (`--out`, `--save`, `--trace-out`, `BENCH_*.json`). A typo'd
+//! The CLI writes JSON artifacts (`--out`, `--save`, `--trace-out`). A typo'd
 //! directory should fail with a clear message *before* minutes of
 //! simulation or a whole load-test run, not with a bare OS error after
 //! them — so every writer routes through [`resolve_out_path`] /

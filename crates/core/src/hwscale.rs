@@ -296,8 +296,24 @@ fn curve_point(scope: &str, evaluations: &[ScopeEvaluation]) -> Option<ScopeCurv
     })
 }
 
-/// Renders the curve as an aligned text table for CLI output.
-pub fn curve_table(report: &HwScaleReport) -> String {
+/// Renders a sweep as text: the zoo and sweep header, the scope-vs-error
+/// curve, and every (target, scope) cell — optionally only one target's
+/// cells (matched case-insensitively). `n_trees` is the forest size the
+/// sweep fitted with.
+pub fn render(report: &HwScaleReport, n_trees: usize, target: Option<&str>) -> String {
+    format!(
+        "zoo: {}\narchitectures: {}\nworkload {}, {} sizes, {n_trees} trees\n\n{}\n{}",
+        report.zoo.join(", "),
+        report.architectures.join(", "),
+        report.workload,
+        report.sizes.len(),
+        curve_table(report),
+        cells_table(report, target)
+    )
+}
+
+/// Renders the curve as an aligned text table.
+fn curve_table(report: &HwScaleReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<16} {:>8} {:>10} {:>10} {:>12} {:>8} {:>12}\n",
@@ -320,7 +336,7 @@ pub fn curve_table(report: &HwScaleReport) -> String {
 
 /// Formats every (target, scope) cell of the sweep as a plain-text table,
 /// optionally restricted to one target (matched case-insensitively).
-pub fn cells_table(report: &HwScaleReport, target: Option<&str>) -> String {
+fn cells_table(report: &HwScaleReport, target: Option<&str>) -> String {
     let mut out = format!(
         "{:<16} {:<10} {:<9} {:>8} {:>8} {:>8}  sources\n",
         "scope", "target", "arch", "MAPE%", "R2", "overlap"
@@ -418,6 +434,11 @@ mod tests {
         assert!(table.contains("per-arch") && table.contains("all-zoo"));
         let cells = cells_table(&report, Some("V100"));
         assert_eq!(cells.lines().count(), 1 + Scope::all().len());
+        let text = render(&report, 500, None);
+        assert!(text.starts_with("zoo: GTX480, GTX580, GTX680, K20m, GTX750Ti,"));
+        assert!(text.contains("\narchitectures: fermi, kepler, maxwell, pascal, volta\n"));
+        let header = format!("\nworkload matrixMul, {} sizes, 500 trees\n\n", sizes.len());
+        assert!(text.contains(&header));
     }
 
     #[test]

@@ -697,8 +697,9 @@ mod tests {
     #[test]
     fn by_name_finds_all_presets_case_insensitively() {
         for g in GpuConfig::presets() {
-            let found = GpuConfig::by_name(&g.name.to_lowercase()).unwrap();
-            assert_eq!(found.name, g.name);
+            for spelling in [g.name.to_lowercase(), g.name.to_uppercase()] {
+                assert_eq!(GpuConfig::by_name(&spelling).unwrap().name, g.name);
+            }
         }
         assert!(GpuConfig::by_name("rtx9090").is_none());
     }
